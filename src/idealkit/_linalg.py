@@ -29,11 +29,6 @@ def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(A, B):
-    cols = list(zip(*B))
-    return [[dot(row, col) for col in cols] for row in A]
-
-
 def mat_vec(A, v):
     return [dot(row, v) for row in A]
 
@@ -102,29 +97,6 @@ def frac_solve(A, b):
     """Solve a consistent square system exactly; raises if singular."""
     inv = frac_inverse(A)
     return mat_vec(inv, [Fraction(x) for x in b])
-
-
-def det(A):
-    """Determinant of a square integer matrix (fraction-free would do; exact)."""
-    n = len(A)
-    m = [[Fraction(x) for x in row] for row in A]
-    sign = 1
-    out = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        out *= m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] / m[c][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    val = sign * out
-    assert val.denominator == 1
-    return val.numerator
 
 
 def diagonalize(A):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import floor, lcm, prod
+from math import lcm, prod
 
 from ._linalg import (
     diagonalize,
@@ -332,36 +332,42 @@ def _facet_normal(facet_rays, apex_ray, span_rows):
 
 def _parallelepiped_points(rays, budget):
     """Lattice points of {sum lambda_i r_i : 0 <= lambda_i < 1} for linearly
-    independent integer rays, via an integer diagonalization of the ray
-    matrix.  Returns (points including 0, lattice index)."""
+    independent integer rays.  Returns (points including 0, lattice index).
+
+    With U A V = D for the ray matrix A (columns are rays), the points are
+    A frac(V c / D) for c in the box of D, computed in integers over the
+    common denominator L = lcm(D).
+    """
     t = len(rays)
     d = len(rays[0])
     A = [[rays[j][i] for j in range(t)] for i in range(d)]  # columns are rays
-    U, D, V = diagonalize(A)
+    _, D, V = diagonalize(A)
     diag = [D[k][k] for k in range(t)]
     if any(x == 0 for x in diag):
         raise ValueError("parallelepiped rays are linearly dependent")
-    index = prod(abs(x) for x in diag)
+    index = prod(diag)
     if index > budget:
         raise ResourceCapError(
             f"parallelepiped holds {index} lattice points, over the remaining "
             f"budget of {budget}; raise max_lattice_points to proceed")
-    Uinv = frac_inverse(U)
-    sel = independent_rows(A, need=t)
-    Ainv_sel = frac_inverse([A[i] for i in sel])
+    L = lcm(*diag)
+    # lambda = V c / D, scaled by L: column k of V times L / diag[k]
+    VL = [[V[j][k] * (L // diag[k]) for k in range(t)] for j in range(t)]
     points = []
     for combo in itertools.product(*(range(x) for x in diag)):
-        g = list(combo) + [0] * (d - t)
-        zprime = [sum(Uinv[i][k] * g[k] for k in range(d)) for i in range(d)]
-        assert all(x.denominator == 1 for x in zprime)
-        zprime = [int(x) for x in zprime]
-        lam = [sum(Ainv_sel[j][k] * zprime[sel[k]] for k in range(t))
-               for j in range(t)]
-        shift = [floor(x) for x in lam]
-        z = tuple(zprime[i] - sum(A[i][j] * shift[j] for j in range(t))
-                  for i in range(d))
-        points.append(z)
-    assert len(set(points)) == index
+        lam = [dot(row, combo) % L for row in VL]
+        z = []
+        for row in A:
+            q, r = divmod(dot(row, lam), L)
+            if r:
+                raise ArithmeticError("parallelepiped point is not integral")
+            z.append(q)
+        points.append(tuple(z))
+    distinct = len(set(points))
+    if distinct != index:
+        raise ArithmeticError(
+            f"parallelepiped enumeration found {distinct} distinct points, "
+            f"expected {index}")
     return points, index
 
 
@@ -370,47 +376,42 @@ def semigroup_member(v, elements, inequalities):
 
     All elements must lie in the pointed cone cut out by ``inequalities``;
     residuals leaving the cone are pruned, which is sound because any partial
-    remainder of a valid combination stays inside the cone.
+    remainder of a valid combination stays inside the cone.  The search runs
+    on an explicit stack, so a long chain of residuals cannot overflow the
+    call stack.
     """
     v = tuple(v)
     zero = (0,) * len(v)
     if v == zero:
         return True
     elems = [tuple(e) for e in elements if any(e)]
-    memo = {}
-
-    def rec(u):
-        if u == zero:
-            return True
-        got = memo.get(u)
-        if got is not None:
-            return got
-        memo[u] = False
+    seen = {v}
+    stack = [v]
+    while stack:
+        u = stack.pop()
         for e in elems:
             w = tuple(a - b for a, b in zip(u, e))
-            if all(dot(h, w) >= 0 for h in inequalities) and rec(w):
-                memo[u] = True
-                break
-        return memo[u]
-
-    return rec(v)
+            if w == zero:
+                return True
+            if w not in seen and all(dot(h, w) >= 0 for h in inequalities):
+                seen.add(w)
+                stack.append(w)
+    return False
 
 
 def _reduce_generators(cands, ineqs):
     """Unique minimal Hilbert basis from a generating candidate set.
 
-    Graded by the sum of all inequality values (strictly positive on the
-    pointed cone minus the origin), so scanning in increasing grade and
-    dropping anything generated by the kept elements is exact.
+    Each candidate v maps to its value vector hv(v) = (<h,v> for h in ineqs),
+    and v - u lies in the cone iff hv(u) <= hv(v) componentwise.  The
+    candidates lie in the cone's nonzero lattice points and contain the whole
+    Hilbert basis, so v is reducible iff some other candidate has a smaller
+    value vector: the basis is the candidates whose value vectors are
+    divisibility-minimal.  hv is injective because the cone is pointed
+    (Bruns-Ichim reduction).
     """
-    def grade(v):
-        return sum(dot(h, v) for h in ineqs)
-
-    kept = []
-    for v in sorted(set(cands), key=lambda v: (grade(v), v)):
-        if not semigroup_member(v, kept, ineqs):
-            kept.append(v)
-    return kept
+    by_values = {tuple(dot(h, v) for h in ineqs): v for v in cands}
+    return [by_values[w] for w in _minimal_vecs(by_values)]
 
 
 def hilbert_basis(cone: RationalCone,
@@ -442,33 +443,17 @@ def hilbert_basis(cone: RationalCone,
 # ---------------------------------------------------------------------------
 # normality, integral closure, symbolic Rees generators
 
-def _power_member(a, b, gens, memo):
-    """x^a in I^b, by peeling one generator per level (b >= 0)."""
-    if b == 0:
-        return True
-    key = (a, b)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    memo[key] = False
-    for g in gens:
-        if all(x <= y for x, y in zip(g, a)):
-            rest = tuple(y - x for x, y in zip(g, a))
-            if _power_member(rest, b - 1, gens, memo):
-                memo[key] = True
-                break
-    return memo[key]
-
-
 def is_normal(I: MonomialIdeal,
               max_lattice_points: int = DEFAULT_LATTICE_CAP) -> bool:
-    """True iff the lifted generator set is a Hilbert basis of the Rees cone,
-    i.e. every Hilbert basis element (a, b) satisfies x^a in I^b."""
+    """True iff the lifted generator set is a Hilbert basis of the Rees cone.
+
+    The Rees algebra is the semigroup generated by the e_i and the (g, 1); it
+    equals the cone's lattice points exactly when the minimal Hilbert basis
+    lies inside that generator set, i.e. every Hilbert basis element (a, b)
+    satisfies x^a in I^b."""
     I.require_proper_nonzero("the normality test")
-    hb = hilbert_basis(rees_cone(I), max_lattice_points)
-    memo = {}
-    return all(_power_member(v[:-1], v[-1], I.exponents, memo)
-               for v in hb.elements)
+    rc = rees_cone(I)
+    return hilbert_basis(rc, max_lattice_points).as_set() <= set(rc.rays)
 
 
 def integral_closure(I: MonomialIdeal,

@@ -245,15 +245,19 @@ def associated_primes(I: MonomialIdeal):
     return tuple(seen[k] for k in sorted(seen))
 
 
-def minimal_primes(I: MonomialIdeal):
-    """Inclusion-minimal associated primes."""
-    primes = associated_primes(I)
+def _inclusion_minimal(primes):
     return tuple(p for p in primes
                  if not any(q is not p and q.issubset(p) for q in primes))
 
 
+def minimal_primes(I: MonomialIdeal):
+    """Inclusion-minimal associated primes."""
+    return _inclusion_minimal(associated_primes(I))
+
+
 def has_embedded_primes(I: MonomialIdeal) -> bool:
-    return len(associated_primes(I)) != len(minimal_primes(I))
+    primes = associated_primes(I)
+    return len(primes) != len(_inclusion_minimal(primes))
 
 
 def is_unmixed(I: MonomialIdeal) -> bool:

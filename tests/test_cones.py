@@ -25,11 +25,13 @@ from idealkit import (
     symbolic_power_min,
     symbolic_rees_generators,
 )
-from idealkit._linalg import dot
+from idealkit._linalg import dot, frac_solve, independent_rows
+from idealkit.cones import _parallelepiped_points
 
 from oracles import (
     box_vectors,
     closure_member_by_powers,
+    random_ideal,
     random_pointed_cone,
     semigroup_member_bounded,
 )
@@ -210,6 +212,46 @@ def test_semigroup_member_agrees_with_oracle():
             assert lib == oracle
 
 
+def test_semigroup_member_deep_chain_needs_no_recursion():
+    assert semigroup_member((5000, 1), [(1, 0), (0, 1)], [(1, 0), (0, 1)])
+
+
+def _parallelepiped_brute_force(rays):
+    """Integer points of the bounding box whose coordinates in the ray basis
+    lie in [0, 1)."""
+    t, d = len(rays), len(rays[0])
+    cols = [[r[i] for r in rays] for i in range(d)]
+    sel = independent_rows(cols, need=t)
+    square = [cols[i] for i in sel]
+    ranges = [range(sum(min(0, r[i]) for r in rays),
+                    sum(max(0, r[i]) for r in rays) + 1) for i in range(d)]
+    found = set()
+    for z in itertools.product(*ranges):
+        lam = frac_solve(square, [z[i] for i in sel])
+        if all(0 <= x < 1 for x in lam) and all(
+                sum(lam[j] * rays[j][i] for j in range(t)) == z[i]
+                for i in range(d)):
+            found.add(z)
+    return found
+
+
+def test_parallelepiped_points_match_brute_force():
+    rng = random.Random(2024)
+    seen_dims = set()
+    for _ in range(60):
+        d = rng.randint(1, 4)
+        t = rng.randint(1, d)
+        rays = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(t)]
+        if len(independent_rows(rays)) < t:
+            continue
+        seen_dims.add((t, d))
+        pts, index = _parallelepiped_points(rays, 10**6)
+        want = _parallelepiped_brute_force(rays)
+        assert len(pts) == len(set(pts)) == index == len(want)
+        assert set(pts) == want
+    assert any(t < d for t, d in seen_dims)
+
+
 def test_lattice_point_cap_enforced(ex2_10_ideal):
     with pytest.raises(ResourceCapError):
         hilbert_basis(simis_cone(ex2_10_ideal), max_lattice_points=1)
@@ -223,6 +265,33 @@ def test_is_normal_examples(ctx3):
     assert not is_normal(ctx2.ideal("x1^2", "x2^2"))
     assert is_normal(ctx2.ideal("x1", "x2"))
     assert is_normal(ctx3.ideal("x1*x2", "x2*x3", "x1*x3"))
+
+
+def _normal_by_definition(I):
+    """Every Rees Hilbert basis element (a, b) with b >= 1 has x^a in I^b."""
+    return all((I ** v[-1]).contains(v[:-1])
+               for v in hilbert_basis(rees_cone(I)) if v[-1] >= 1)
+
+
+@pytest.mark.parametrize("name", ["ex2_10_ideal", "ex2_12_ideal", "ex3_16_ideal",
+                                  "fig1_ideal", "principal_mixed_ideal",
+                                  "radical_example_ideal", "terai_ideal"])
+def test_is_normal_matches_definition_on_paper_examples(name, request):
+    I = request.getfixturevalue(name)
+    assert is_normal(I) == _normal_by_definition(I)
+
+
+def test_is_normal_matches_definition_on_random_ideals():
+    rng = random.Random(515)
+    outcomes = set()
+    for _ in range(40):
+        I = random_ideal(rng, n=4, max_exp=3)
+        if not I.is_proper_nonzero():
+            continue
+        got = is_normal(I)
+        assert got == _normal_by_definition(I)
+        outcomes.add(got)
+    assert outcomes == {True, False}
 
 
 def test_integral_closure_fig1(fig1_ideal):
