@@ -81,6 +81,7 @@ from .errors import (
     NonPointedConeError,
     ParseError,
     ResourceCapError,
+    RouteMismatchError,
 )
 
 __version__ = "0.1.0"

@@ -10,7 +10,7 @@ functions, safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ContextMismatchError, ExponentOverflowError, ImproperIdealError
 

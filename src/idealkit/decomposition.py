@@ -1,19 +1,27 @@
 """Irreducible and primary decomposition of monomial ideals.
 
-The decomposition algorithm is recursive coprime splitting: a generator that
-mixes two coprime parts u, v splits the ideal into the two ideals gaining u
-resp. v; once every generator is a pure power the ideal is irreducible.
-Redundant components are pruned afterwards.  The result is the unique
-irredundant irreducible decomposition, whose components are exactly the
-minimal irreducible ideals containing I.
+The decomposition algorithm is coprime splitting: a generator g that mixes
+two coprime parts u, v splits the ideal into the two ideals gaining u resp.
+v; once every generator is a pure power the ideal is irreducible.  No other
+minimal generator divides g, hence none divides u or v, so a child's minimal
+generating set is the parent's without g, minus the multiples of the new
+generator, plus that generator: one linear pass, no re-minimalization.  The
+memoized split DAG is walked in post-order with an explicit stack, so deep
+inputs cannot overflow the interpreter's stack.
+
+Redundant components are pruned afterwards by one scan in increasing
+(height, -exponent sum) order, which puts every minimal component before any
+component containing it; each component is compared only with those kept.
+The result is the unique irredundant irreducible decomposition, whose
+components are exactly the minimal irreducible ideals containing I.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 from .core import (
-    Monomial,
     MonomialIdeal,
     MonomialPrime,
     _minimal_vecs,
@@ -147,26 +155,55 @@ def _splittable(vecs):
     return best
 
 
-def _split(vecs, memo):
-    """Set of irreducible components (as powers tuples) of the ideal (vecs)."""
-    found = memo.get(vecs)
-    if found is not None:
-        return found
-    g = _splittable(vecs)
-    if g is None:
-        # every generator is a pure power of a distinct variable
-        comp = tuple(sorted((i, e) for i, e in _pure_powers(vecs)))
-        out = frozenset([comp])
+def _with_generator(rest, u):
+    """Minimal generators of (rest) + (u), given that no member of rest
+    divides u: drop the multiples of u and insert u in sorted position."""
+    supp = [(j, e) for j, e in enumerate(u) if e]
+    if len(supp) == 1:
+        # a pure power x_j^e divides w iff w_j >= e
+        (j, e), = supp
+        out = [w for w in rest if w[j] < e]
     else:
+        out = [w for w in rest if any(w[j] < e for j, e in supp)]
+    bisect.insort(out, u)
+    return tuple(out)
+
+
+def _split(vecs, memo):
+    """Set of irreducible components (as powers tuples) of the ideal (vecs).
+
+    ``vecs`` is a canonical minimal generating set.  A node splits on g into
+    the children gaining u = x_i^{g_i} (the first variable of g) and v = g/u.
+    Both divide g, and no other minimal generator divides g, so
+    ``_with_generator`` builds each child's minimal generating set in one
+    pass.  Nodes are expanded once: each pushes a marker carrying its two
+    children beneath them, and the children's component sets are united
+    when the marker pops.
+    """
+    stack = [(vecs, None)]
+    while stack:
+        node, children = stack.pop()
+        if children is not None:
+            left, right = children
+            memo[node] = memo[left] | memo[right]
+            continue
+        if node in memo:
+            continue
+        g = _splittable(node)
+        if g is None:
+            # every generator is a pure power of a distinct variable
+            memo[node] = frozenset([tuple(sorted(_pure_powers(node)))])
+            continue
         i = next(j for j, e in enumerate(g) if e > 0)
         u = tuple(g[j] if j == i else 0 for j in range(len(g)))
         v = tuple(0 if j == i else g[j] for j in range(len(g)))
-        rest = tuple(w for w in vecs if w != g)
-        left = _minimal_vecs(rest + (u,))
-        right = _minimal_vecs(rest + (v,))
-        out = _split(left, memo) | _split(right, memo)
-    memo[vecs] = out
-    return out
+        rest = tuple(w for w in node if w != g)
+        left = _with_generator(rest, u)
+        right = _with_generator(rest, v)
+        stack.append((node, (left, right)))
+        stack.append((right, None))
+        stack.append((left, None))
+    return memo[vecs]
 
 
 def _pure_powers(vecs):
@@ -181,14 +218,20 @@ def _prune(comps):
 
     A component is redundant iff it contains another one: an irreducible
     ideal containing the intersection must contain one of the intersected
-    components, so pairwise containment decides redundancy.
+    components, so containment between components decides redundancy.  A
+    component containing another has a greater height, or the same
+    variables and a smaller exponent sum; so in increasing
+    (height, -exponent sum) order every minimal component comes before any
+    component containing it, and each component need only be compared with
+    the minimal ones already kept.
     """
-    out = []
-    for c in comps:
-        if any(o != c and c.contains_component(o) for o in comps):
-            continue
-        out.append(c)
-    return out
+    kept = []
+    order = sorted(comps, key=lambda c: (len(c.powers),
+                                         -sum(e for _, e in c.powers)))
+    for c in order:
+        if not any(c.contains_component(o) for o in kept):
+            kept.append(c)
+    return kept
 
 
 def irreducible_decomposition(I: MonomialIdeal) -> Decomposition:

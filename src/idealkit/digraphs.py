@@ -13,7 +13,6 @@ tournaments.
 from __future__ import annotations
 
 import enum
-import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -149,22 +148,40 @@ class WeightedDigraph:
         """All strong vertex covers, as partitions, in canonical order.
 
         Isolated vertices are skipped: they would sit in L3 with no in-arc,
-        so no strong cover contains them."""
-        active = [v for v in range(self.context.n)
-                  if v not in set(self.isolated_vertices())]
+        so no strong cover contains them.  Vertex covers are enumerated by
+        branching over the active vertices in ascending order: a vertex may
+        be left out only when all of its earlier neighbours are in, so every
+        leaf of the branching is exactly one vertex cover and no other
+        subset is visited.  Strength is decided by ``is_strong_cover``; the
+        strong covers come out by size, then in vertex order (the order of
+        ``itertools.combinations``).  The cap counts active vertices."""
+        isolated = set(self.isolated_vertices())
+        active = [v for v in range(self.context.n) if v not in isolated]
         if len(active) > max_vertices:
             raise ResourceCapError(
                 f"{len(active)} vertices exceed the enumeration cap "
                 f"{max_vertices}")
-        arcs = list(self.arcs)
+        # earlier[v]: bit mask of the neighbours of v with a smaller index
+        earlier = [0] * self.context.n
+        for i, j in self.arcs:
+            lo, hi = min(i, j), max(i, j)
+            earlier[hi] |= 1 << lo
+        covers = []
+        stack = [(0, 0)]  # (number of active vertices decided, mask chosen)
+        while stack:
+            depth, mask = stack.pop()
+            if depth == len(active):
+                covers.append(tuple(v for v in active if mask >> v & 1))
+                continue
+            v = active[depth]
+            stack.append((depth + 1, mask | 1 << v))
+            if earlier[v] & ~mask == 0:
+                stack.append((depth + 1, mask))
+        covers.sort(key=lambda c: (len(c), c))
         out = []
-        for size in range(len(active) + 1):
-            for combo in itertools.combinations(active, size):
-                c = set(combo)
-                if not all(i in c or j in c for i, j in arcs):
-                    continue
-                if self.is_strong_cover(c):
-                    out.append(self.cover_partition(c))
+        for c in covers:
+            if self.is_strong_cover(c):
+                out.append(self.cover_partition(c))
         return out
 
     def prt_decomposition(self, max_vertices: int = DEFAULT_VERTEX_CAP) -> Decomposition:

@@ -4,7 +4,8 @@ Two routes compute the minimal-primes symbolic power I^(k): localizing I^k at
 each minimal prime and intersecting, or powering the primary components at
 minimal primes (valid when I has no embedded primes).  The default runs the
 cheap primary-powers route and cross-checks it against the localization route
-whenever the no-embedded-primes hypothesis holds.
+whenever the no-embedded-primes hypothesis holds; a disagreement raises
+RouteMismatchError.
 
 The variant over the full set of associated primes, I^<k>, localizes at the
 inclusion-maximal associated primes; using all associated primes gives the
@@ -24,7 +25,7 @@ from .decomposition import (
     minimal_primes,
     primary_decomposition,
 )
-from .errors import EmbeddedPrimeError
+from .errors import EmbeddedPrimeError, RouteMismatchError
 
 
 class Route(str, enum.Enum):
@@ -75,7 +76,7 @@ def symbolic_power_min(I: MonomialIdeal, k: int, route=Route.AUTO) -> MonomialId
     fast = intersect_all([c.ideal ** k for c in primary_decomposition(I)])
     slow = _sp_localization(I, k, minimal_primes(I))
     if fast != slow:
-        raise RuntimeError(
+        raise RouteMismatchError(
             f"symbolic power routes disagree for {I} at k={k}: "
             f"{fast} vs {slow}")
     return fast

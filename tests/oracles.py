@@ -291,3 +291,69 @@ def random_pointed_cone(rng, max_dim=4, max_entry=5):
     if not rays:
         rays = {tuple(1 for _ in range(d))}
     return RationalCone(d, rays=tuple(rays))
+
+
+# ---------------------------------------------------------------------------
+# reference implementations of the decomposition kernels: the plain
+# definitions, re-minimalizing and comparing pairwise wherever the library
+# takes a shortcut
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def minimalize_reference(vecs):
+    """Divisibility-minimal members of ``vecs``, sorted."""
+    vecs = set(vecs)
+    return tuple(sorted(v for v in vecs
+                        if not any(w != v and _divides(w, v) for w in vecs)))
+
+
+def powers_contain(c, o):
+    """Irreducible containment o <= c, both as (variable, exponent) tuples."""
+    mine = dict(c)
+    return all(i in mine and mine[i] <= e for i, e in o)
+
+
+def prune_reference(powers):
+    """The members of ``powers`` containing no other member."""
+    return {c for c in powers
+            if not any(o != c and powers_contain(c, o) for o in powers)}
+
+
+def splitting_decomposition_reference(I: MonomialIdeal):
+    """Irreducible components of I as powers tuples, by recursive coprime
+    splitting that re-minimalizes each child's generators from scratch,
+    followed by the pairwise prune."""
+    memo = {}
+
+    def split(vecs):
+        if vecs in memo:
+            return memo[vecs]
+        mixed = [v for v in vecs if sum(1 for e in v if e) >= 2]
+        if not mixed:
+            out = {tuple(sorted((next(j for j, e in enumerate(v) if e),
+                                 max(v)) for v in vecs))}
+        else:
+            g = max(mixed, key=lambda v: sum(1 for e in v if e))
+            i = next(j for j, e in enumerate(g) if e)
+            u = tuple(e if j == i else 0 for j, e in enumerate(g))
+            v = tuple(0 if j == i else e for j, e in enumerate(g))
+            rest = tuple(w for w in vecs if w != g)
+            out = (split(minimalize_reference(rest + (u,)))
+                   | split(minimalize_reference(rest + (v,))))
+        memo[vecs] = out
+        return out
+
+    return prune_reference(split(minimalize_reference(I.exponents)))
+
+
+def strong_covers_by_subsets(D):
+    """Strong vertex covers of D as partitions, by testing every vertex
+    subset, by size and then in ``itertools.combinations`` order."""
+    out = []
+    for size in range(D.context.n + 1):
+        for combo in itertools.combinations(range(D.context.n), size):
+            if D.is_vertex_cover(combo) and D.is_strong_cover(combo):
+                out.append(D.cover_partition(combo))
+    return out

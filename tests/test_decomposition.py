@@ -24,11 +24,16 @@ from idealkit import (
     star_dual,
 )
 
+from idealkit.core import _minimal_vecs
+from idealkit.decomposition import _prune, _with_generator
+
 from oracles import (
     all_irreducibles_containing,
     minimal_vertex_covers,
+    prune_reference,
     random_ideal,
     saturation_localize,
+    splitting_decomposition_reference,
 )
 
 
@@ -281,3 +286,69 @@ def test_star_equals_alexander_on_squarefree():
         if not I.is_proper_nonzero():
             continue
         assert star_dual(I) == alexander_dual(I)
+
+
+# ---------------------------------------------------------------------------
+# the splitting kernels against their reference definitions
+
+def _staircase(N):
+    ctx = PolyContext.default(2)
+    return MonomialIdeal.from_generators(ctx, [(i, N - i) for i in range(N + 1)])
+
+
+def test_decomposition_matches_splitting_reference():
+    rng = random.Random(4104)
+    samples = [random_ideal(rng, n=rng.randint(3, 5), max_exp=3, max_gens=6)
+               for _ in range(150)]
+    samples += [_staircase(N) for N in (1, 2, 7, 30, 60)]
+    for I in samples:
+        if not I.is_proper_nonzero():
+            continue
+        assert _component_set(irreducible_decomposition(I)) == \
+            splitting_decomposition_reference(I)
+
+
+def test_with_generator_matches_reminimalizing():
+    # a coprime part of a minimal generator g gains no divisor from the
+    # other generators, so one pass gives the re-minimalized set
+    rng = random.Random(4105)
+    checked = 0
+    for _ in range(150):
+        I = random_ideal(rng, n=rng.randint(2, 5), max_exp=3, max_gens=7)
+        for g in I.exponents:
+            supp = [j for j, e in enumerate(g) if e]
+            if len(supp) < 2:
+                continue
+            rest = tuple(w for w in I.exponents if w != g)
+            for part in ({supp[0]}, set(supp[1:]), set(supp[:-1])):
+                u = tuple(e if j in part else 0 for j, e in enumerate(g))
+                assert _with_generator(rest, u) == _minimal_vecs(rest + (u,))
+                checked += 1
+    assert checked > 100
+
+
+def test_prune_matches_pairwise_definition():
+    rng = random.Random(4106)
+    ctx = PolyContext.default(4)
+    for _ in range(200):
+        comps = set()
+        for _ in range(rng.randint(1, 12)):
+            vs = rng.sample(range(4), rng.randint(1, 4))
+            ps = tuple(sorted((i, rng.randint(1, 3)) for i in vs))
+            comps.add(ps)
+            if rng.random() < 0.5:
+                # same variables, one exponent lowered: a component that
+                # contains the one before it at equal height
+                j = rng.randrange(len(ps))
+                i, e = ps[j]
+                if e > 1:
+                    comps.add(ps[:j] + ((i, rng.randint(1, e - 1)),) + ps[j + 1:])
+        got = _prune([IrreducibleIdeal(ctx, ps) for ps in comps])
+        assert len(got) == len({c.powers for c in got})
+        assert {c.powers for c in got} == prune_reference(comps)
+
+
+def test_deep_staircase_decomposes_without_recursion_error():
+    N = 1000
+    got = _component_set(irreducible_decomposition(_staircase(N)))
+    assert got == {((0, i), (1, N + 1 - i)) for i in range(1, N + 1)}

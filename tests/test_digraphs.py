@@ -19,7 +19,11 @@ from idealkit import (
     star_dual,
 )
 
-from oracles import random_forest_digraph, random_oriented_digraph
+from oracles import (
+    random_forest_digraph,
+    random_oriented_digraph,
+    strong_covers_by_subsets,
+)
 
 
 def _single_arc(d2=1):
@@ -130,6 +134,24 @@ def test_strong_covers_radical_example(radical_example_digraph):
 def test_vertex_cap(fig1_digraph):
     with pytest.raises(ResourceCapError):
         fig1_digraph.strong_covers(max_vertices=3)
+
+
+def test_strong_covers_match_subset_enumeration():
+    rng = random.Random(4107)
+    isolated_seen = 0
+    for t in range(200):
+        D = random_oriented_digraph(rng, max_vertices=7)
+        if t % 4 == 0:
+            # append isolated vertices, which no strong cover may contain
+            extra = rng.randint(1, 2)
+            n = D.context.n + extra
+            D = WeightedDigraph(PolyContext.default(n),
+                                D.weights + tuple(rng.randint(1, 3)
+                                                  for _ in range(extra)),
+                                D.arcs)
+        isolated_seen += bool(D.isolated_vertices())
+        assert D.strong_covers() == strong_covers_by_subsets(D)
+    assert isolated_seen >= 50
 
 
 def test_prt_rejects_arcless_digraph():

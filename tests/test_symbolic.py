@@ -4,12 +4,15 @@ import random
 
 import pytest
 
+import idealkit.symbolic
 from idealkit import (
     EmbeddedPrimeError,
     EqualityCertificate,
+    IdealKitError,
     ImproperIdealError,
     MonomialIdeal,
     PolyContext,
+    RouteMismatchError,
     has_embedded_primes,
     ntf_probe,
     symbolic_power_ass,
@@ -146,3 +149,11 @@ def test_error_paths(ctx3):
             symbolic_power_ass(bad, 1)
     with pytest.raises(ValueError):
         symbolic_power_min(ctx3.ideal("x1*x2"), 0)
+
+
+def test_route_disagreement_raises_library_error(ex2_10_ideal, monkeypatch):
+    # a broken localization makes the cross-checked routes disagree
+    monkeypatch.setattr(idealkit.symbolic, "localize", lambda I, p: I)
+    with pytest.raises(RouteMismatchError, match="routes disagree") as exc:
+        symbolic_power_min(ex2_10_ideal, 2)
+    assert isinstance(exc.value, IdealKitError)
