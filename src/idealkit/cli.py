@@ -66,7 +66,7 @@ def _cmd_symbolic(args):
                else symbolic.Variant.MIN_PRIMES)
     rows = []
     for k in range(1, args.k + 1):
-        ordinary = I ** k
+        ordinary = I if k == 1 else ordinary * I
         sym = symbolic.symbolic_power(I, k, variant).ideal
         extra = [g for g in sym.generators if not ordinary.contains(g)]
         rows.append((k, ordinary, sym, extra))

@@ -42,12 +42,37 @@ def _vec_mul(a, b):
 
 
 def _minimal_vecs(vecs):
-    """Divisibility-minimal subset of exponent vectors, canonically sorted."""
-    kept = []
+    """Divisibility-minimal subset of integer vectors, canonically sorted.
+
+    Divisibility is the componentwise order u <= v, tested on all fields at
+    once: after shifting by the coordinatewise minimum lo (the order is
+    translation invariant, so negative entries are fine), every vector is
+    packed into one int with w bits per field, w one more than the bit
+    length of the largest shifted entry.  With G the mask of each field's
+    top bit, field i of (P(v) | G) - P(u) holds 2^(w-1) + v_i - u_i, which
+    lies in [1, 2^w): no borrow crosses a field, and the top bit survives
+    exactly when u_i <= v_i.  So u divides v iff ((P(v) | G) - P(u)) & G == G.
+    """
     # scanning by increasing total degree guarantees divisors come first
-    for v in sorted(set(vecs), key=lambda v: (sum(v), v)):
-        if not any(_vec_divides(u, v) for u in kept):
+    order = sorted(set(vecs), key=lambda v: (sum(v), v))
+    cols = list(zip(*order))
+    lo = [min(c) for c in cols]
+    w = max((max(c) - m for c, m in zip(cols, lo)), default=0).bit_length() + 1
+    G = 0
+    for _ in cols:
+        G = G << w | 1 << (w - 1)
+    kept, packed = [], []
+    for v in order:
+        p = 0
+        for x, m in zip(v, lo):
+            p = p << w | (x - m)
+        pg = p | G
+        for q in packed:
+            if (pg - q) & G == G:
+                break
+        else:
             kept.append(v)
+            packed.append(p)
     return tuple(sorted(kept))
 
 
@@ -232,7 +257,12 @@ class MonomialIdeal:
                     raise ContextMismatchError(f"{g!r} lives in another context")
                 vecs.append(g.exponents)
             else:
-                vecs.append(tuple(int(e) for e in g))
+                v = tuple(int(e) for e in g)
+                # checked before minimalizing, which would drop a multiple
+                if len(v) != context.n:
+                    raise ValueError(
+                        f"generator {v} has wrong length for n={context.n}")
+                vecs.append(v)
         return cls(context, _minimal_vecs(vecs))
 
     # -- structure ----------------------------------------------------------

@@ -9,9 +9,9 @@ generator, plus that generator: one linear pass, no re-minimalization.  The
 memoized split DAG is walked in post-order with an explicit stack, so deep
 inputs cannot overflow the interpreter's stack.
 
-Redundant components are pruned afterwards by one scan in increasing
-(height, -exponent sum) order, which puts every minimal component before any
-component containing it; each component is compared only with those kept.
+Redundant components are pruned afterwards by one ``_minimal_vecs`` call:
+each component becomes a vector that divides another component's vector
+exactly when the second component contains the first (see ``_prune``).
 The result is the unique irredundant irreducible decomposition, whose
 components are exactly the minimal irreducible ideals containing I.
 """
@@ -214,24 +214,26 @@ def _pure_powers(vecs):
 
 
 def _prune(comps):
-    """Keep the inclusion-minimal components.
+    """Keep the inclusion-minimal components, in no particular order.
 
     A component is redundant iff it contains another one: an irreducible
     ideal containing the intersection must contain one of the intersected
-    components, so containment between components decides redundancy.  A
-    component containing another has a greater height, or the same
-    variables and a smaller exponent sum; so in increasing
-    (height, -exponent sum) order every minimal component comes before any
-    component containing it, and each component need only be compared with
-    the minimal ones already kept.
+    components, so containment between components decides redundancy.
+    With top one more than every exponent, map a component C to t(C), with
+    t_i = top - a_i on its variables x_i^{a_i} and 0 elsewhere.  C contains
+    D iff every variable of D is a variable of C with a_C <= a_D there, iff
+    t(D) <= t(C) componentwise (t(D)_i > 0 exactly on D's variables).  So
+    the kept components are those whose vectors are divisibility-minimal.
     """
-    kept = []
-    order = sorted(comps, key=lambda c: (len(c.powers),
-                                         -sum(e for _, e in c.powers)))
-    for c in order:
-        if not any(c.contains_component(o) for o in kept):
-            kept.append(c)
-    return kept
+    n = comps[0].context.n
+    top = 1 + max(e for c in comps for _, e in c.powers)
+    by_vec = {}
+    for c in comps:
+        t = [0] * n
+        for i, e in c.powers:
+            t[i] = top - e
+        by_vec[tuple(t)] = c
+    return [by_vec[t] for t in _minimal_vecs(by_vec)]
 
 
 def irreducible_decomposition(I: MonomialIdeal) -> Decomposition:

@@ -47,17 +47,26 @@ class WeightedDigraph:
             if (j, i) in arcs:
                 raise DigraphError(
                     f"2-cycle between {ctx.names[i]} and {ctx.names[j]}")
-        heads = {j for _, j in arcs}
+        # per-vertex adjacency, computed once; not fields, so equality and
+        # hashing still see only (context, weights, arcs)
+        outs = [set() for _ in range(ctx.n)]
+        ins = [set() for _ in range(ctx.n)]
+        for i, j in arcs:
+            outs[i].add(j)
+            ins[j].add(i)
         fixed = list(ws)
         for i in range(ctx.n):
-            has_out = any(a == i for a, _ in arcs)
-            if has_out and i not in heads and fixed[i] != 1:
+            if outs[i] and not ins[i] and fixed[i] != 1:
                 warnings.warn(
                     f"source vertex {ctx.names[i]} has weight {fixed[i]}; "
                     f"normalized to 1", stacklevel=3)
                 fixed[i] = 1
         object.__setattr__(self, "weights", tuple(fixed))
         object.__setattr__(self, "arcs", arcs)
+        object.__setattr__(self, "_out", tuple(frozenset(s) for s in outs))
+        object.__setattr__(self, "_in", tuple(frozenset(s) for s in ins))
+        object.__setattr__(self, "_nbrs", tuple(
+            frozenset(o | i) for o, i in zip(outs, ins)))
 
     @classmethod
     def of(cls, vertices, arcs):
@@ -83,13 +92,7 @@ class WeightedDigraph:
         return sorted({(min(i, j), max(i, j)) for i, j in self.arcs})
 
     def neighbors(self, v):
-        out = set()
-        for i, j in self.arcs:
-            if i == v:
-                out.add(j)
-            elif j == v:
-                out.add(i)
-        return out
+        return set(self._nbrs[v])
 
     def isolated_vertices(self):
         touched = {v for arc in self.arcs for v in arc}
@@ -118,15 +121,18 @@ class WeightedDigraph:
         c = self._resolve_set(vertices)
         return all(i in c or j in c for i, j in self.arcs)
 
-    def cover_partition(self, vertices) -> "CoverPartition":
-        c = self._resolve_set(vertices)
+    def _partition(self, c):
+        """(L1, L2, L3) of the vertex cover c, as index sets."""
         if not self.is_vertex_cover(c):
             raise DigraphError(
                 f"{sorted(self.names[v] for v in c)} is not a vertex cover")
-        l1 = {x for x in c
-              if any(i == x and j not in c for i, j in self.arcs)}
-        l3 = {x for x in c if self.neighbors(x) <= c}
-        l2 = c - l1 - l3
+        l1 = {x for x in c if not self._out[x] <= c}
+        l3 = {x for x in c if self._nbrs[x] <= c}
+        return l1, c - l1 - l3, l3
+
+    def cover_partition(self, vertices) -> "CoverPartition":
+        c = self._resolve_set(vertices)
+        l1, l2, l3 = self._partition(c)
         nm = self.context.names
         srt = lambda s: tuple(nm[v] for v in sorted(s))
         return CoverPartition(srt(c), srt(l1), srt(l2), srt(l3),
@@ -135,14 +141,10 @@ class WeightedDigraph:
     def is_strong_cover(self, vertices) -> bool:
         """Minimal covers are strong; otherwise every L3 vertex needs an
         in-arc from an L2/L3 vertex of weight at least 2."""
-        part = self.cover_partition(vertices)
-        c = self._resolve_set(part.cover)
-        inner = self._resolve_set(part.L2) | self._resolve_set(part.L3)
-        for x in self._resolve_set(part.L3):
-            if not any(j == x and i in inner and self.weights[i] >= 2
-                       for i, j in self.arcs):
-                return False
-        return True
+        _, l2, l3 = self._partition(self._resolve_set(vertices))
+        inner = l2 | l3
+        return all(any(i in inner and self.weights[i] >= 2 for i in self._in[x])
+                   for x in l3)
 
     def strong_covers(self, max_vertices: int = DEFAULT_VERTEX_CAP):
         """All strong vertex covers, as partitions, in canonical order.

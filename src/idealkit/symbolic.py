@@ -128,7 +128,8 @@ def ntf_probe(I: MonomialIdeal, kmax: int = 4) -> NtfReport:
     flags = []
     first = None
     for k in range(1, kmax + 1):
-        ok = (I ** k) == symbolic_power_min(I, k)
+        ordinary = I if k == 1 else ordinary * I
+        ok = ordinary == symbolic_power_min(I, k)
         flags.append(ok)
         if not ok and first is None:
             first = k

@@ -16,9 +16,10 @@ from idealkit import (
     PolyContext,
     minimalize,
 )
+from idealkit.core import MAX_EXPONENT, _minimal_vecs
 from idealkit.formats import ideal_to_source
 
-from oracles import random_ideal, vectors_up_to_degree
+from oracles import minimalize_reference, random_ideal, vectors_up_to_degree
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +66,47 @@ def test_minimalize_dedups(ctx):
 
 def test_fig1_generators_already_minimal(fig1_ideal):
     assert len(fig1_ideal.exponents) == 6
+
+
+def test_minimal_vecs_matches_pairwise_definition():
+    rng = random.Random(5150)
+    big = MAX_EXPONENT
+    entry_ranges = [
+        lambda: rng.randint(0, 4),
+        lambda: rng.randint(-5, 5),                         # negative entries
+        lambda: rng.choice((0, 1, 2, big - 2, big - 1, big)),  # near the cap
+        lambda: rng.randint(-(2**70), 2**70),
+    ]
+    for trial in range(400):
+        n = rng.randint(1, 6)
+        entry = entry_ranges[trial % len(entry_ranges)]
+        pool = [tuple(entry() for _ in range(n)) for _ in range(rng.randint(0, 25))]
+        vecs = pool + [rng.choice(pool) for _ in pool if rng.random() < 0.3]
+        rng.shuffle(vecs)
+        assert _minimal_vecs(vecs) == minimalize_reference(vecs), vecs
+
+
+def test_minimal_vecs_small_and_boundary_inputs():
+    assert _minimal_vecs([]) == ()
+    assert _minimal_vecs([(2, -1, 7)]) == ((2, -1, 7),)
+    assert _minimal_vecs([(1, 1), (1, 1), (1, 1)]) == ((1, 1),)
+    # the largest shifted entry is 3 = 2^(w-1) - 1 with w = 3: a field full
+    # up to its top bit must still compare exactly
+    vecs = [(3, 0), (0, 3), (2, 2), (3, 3), (1, 3)]
+    assert _minimal_vecs(vecs) == ((0, 3), (2, 2), (3, 0))
+    shifted = [(a + 7, b - 2) for a, b in vecs]
+    assert _minimal_vecs(shifted) == ((7, 1), (9, 0), (10, -2))
+
+
+def test_from_generators_rejects_bad_vectors():
+    ctx2 = PolyContext.default(2)
+    # the negative vector divides the other, so it is the one that survives
+    # minimalization and reaches the constructor's check
+    with pytest.raises(ValueError):
+        MonomialIdeal.from_generators(ctx2, [(-1, 0), (0, 0)])
+    # a short vector must not vanish as a "multiple" of a full-length one
+    with pytest.raises(ValueError):
+        MonomialIdeal.from_generators(ctx2, [(1, 2), (5,)])
 
 
 def test_contains(ctx, ex2_10_ideal):

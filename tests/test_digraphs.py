@@ -92,6 +92,19 @@ def test_cover_partition_fig1_mixed(fig1_digraph):
     assert part.is_minimal()
 
 
+def test_neighbors_returns_a_fresh_set(fig1_digraph):
+    D = fig1_digraph
+    for v in range(D.context.n):
+        expected = {j for i, j in D.arcs if i == v} | {i for i, j in D.arcs if j == v}
+        nb = D.neighbors(v)
+        assert nb == expected
+        nb.add(-1)
+        assert D.neighbors(v) == expected
+    # the cached adjacency is no field: equality and hashing see the arcs only
+    twin = WeightedDigraph(D.context, D.weights, set(D.arcs))
+    assert twin == D and hash(twin) == hash(D)
+
+
 def test_not_a_cover_rejected(fig1_digraph):
     with pytest.raises(DigraphError):
         fig1_digraph.cover_partition({"x1", "x2"})
