@@ -1,13 +1,16 @@
-"""Small exact linear algebra helpers over the integers and rationals.
+"""Exact integer linear algebra for the cone kernel.
 
-Everything works on lists/tuples of Python ints or Fractions; matrices are
-row-major lists of rows.  Sizes stay tiny (ambient dimension is the variable
-count plus one), so clarity wins over asymptotics.
+Matrices are row-major lists of integer rows.  All elimination happens in
+one routine, ``_echelon``: integer column operations bring A to its column
+Hermite form A V = H with V unimodular.  Rank, a greedy independent row
+subset, a saturated kernel lattice basis and a diagonal form are read off
+H, V and the pivot rows.  Sizes stay tiny (the ambient dimension is the
+variable count plus one), so clarity wins over asymptotics; the size
+reduction keeps the entries of H below their pivots.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -25,161 +28,98 @@ def primitive(v):
     return tuple(x // g for x in v)
 
 
-def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _xgcd(a, b):
+    """(g, x, y) with a x + b y = g = gcd(a, b) >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        return -a, -x0, -y0
+    return a, x0, y0
 
 
-def mat_vec(A, v):
-    return [dot(row, v) for row in A]
+def _echelon(A, ncols):
+    """Column Hermite form (H, V, pivots) of an integer matrix: A V = H.
+
+    V is unimodular.  Rows are taken in order; row i gets the next pivot
+    column r exactly when it is independent of the rows before it, and
+    ``pivots`` lists those rows.  An extended-gcd step per pair of columns
+    gathers row i's entries right of the pivots into column r; the pivot is
+    made positive and the entries to its left are reduced modulo it.  Rows
+    above i are zero from column r on, so only rows i.. of H take part.
+    """
+    H = [list(map(int, row)) for row in A]
+    V = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    pivots = []
+    r = 0
+    for i, row in enumerate(H):
+        if r == ncols:
+            break
+        rows = H[i:] + V
+        for j in range(r + 1, ncols):
+            if row[j] == 0:
+                continue
+            g, x, y = _xgcd(row[r], row[j])
+            p, q = row[r] // g, row[j] // g
+            for w in rows:
+                w[r], w[j] = x * w[r] + y * w[j], p * w[j] - q * w[r]
+        piv = row[r]
+        if piv == 0:
+            continue
+        if piv < 0:
+            piv = -piv
+            for w in rows:
+                w[r] = -w[r]
+        for c in range(r):
+            q = row[c] // piv
+            if q:
+                for w in rows:
+                    w[c] -= q * w[r]
+        pivots.append(i)
+        r += 1
+    return H, V, pivots
 
 
 def rank(rows):
-    """Rank of an integer (or rational) matrix, by exact elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    r = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c] / inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return r
+    """Rank of an integer matrix: its number of pivots."""
+    return len(_echelon(rows, len(rows[0]) if rows else 0)[2])
 
 
 def independent_rows(rows, need=None):
-    """Indices of a maximal (or size-``need``) linearly independent row subset."""
-    picked = []
-    basis = []
-    ncols = len(rows[0]) if rows else 0
-    for idx, row in enumerate(rows):
-        v = [Fraction(x) for x in row]
-        for b in basis:
-            c = next((j for j in range(ncols) if b[j] != 0), None)
-            if c is not None and v[c] != 0:
-                f = v[c] / b[c]
-                v = [a - f * x for a, x in zip(v, b)]
-        if any(x != 0 for x in v):
-            picked.append(idx)
-            basis.append(v)
-            if need is not None and len(picked) == need:
-                break
-    return picked
-
-
-def frac_inverse(A):
-    """Exact inverse of a square nonsingular matrix, as Fractions."""
-    n = len(A)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(A)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        m[c], m[piv] = m[piv], m[c]
-        inv = m[c][c]
-        m[c] = [x / inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return [row[n:] for row in m]
-
-
-def frac_solve(A, b):
-    """Solve a consistent square system exactly; raises if singular."""
-    inv = frac_inverse(A)
-    return mat_vec(inv, [Fraction(x) for x in b])
-
-
-def diagonalize(A):
-    """Integer diagonalization U A V = D with U, V unimodular.
-
-    D is diagonal (not necessarily with the Smith divisibility chain, which
-    nothing here needs); diagonal entries are nonnegative.
-    """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    D = [list(map(int, row)) for row in A]
-    U = identity(m)
-    V = identity(n)
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        D[i] = [a - q * b for a, b in zip(D[i], D[j])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for row in (D, V):
-            for r in row:
-                r[i] -= q * r[j]
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in (D, V):
-            for r in row:
-                r[i], r[j] = r[j], r[i]
-
-    t = 0
-    while t < min(m, n):
-        # pick the nonzero entry of smallest magnitude as pivot
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if D[i][j] != 0 and (best is None or abs(D[i][j]) < abs(D[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        while True:
-            dirty = False
-            for i in range(t + 1, m):
-                if D[i][t] != 0:
-                    q = D[i][t] // D[t][t]
-                    row_op(i, t, q)
-                    if D[i][t] != 0:
-                        swap_rows(i, t)
-                        dirty = True
-            for j in range(t + 1, n):
-                if D[t][j] != 0:
-                    q = D[t][j] // D[t][t]
-                    col_op(j, t, q)
-                    if D[t][j] != 0:
-                        swap_cols(j, t)
-                        dirty = True
-            if not dirty and all(D[i][t] == 0 for i in range(t + 1, m)) \
-                    and all(D[t][j] == 0 for j in range(t + 1, n)):
-                break
-        if D[t][t] < 0:
-            D[t] = [-x for x in D[t]]
-            U[t] = [-x for x in U[t]]
-        t += 1
-    return U, D, V
+    """Indices of the rows independent of the rows before them (the greedy
+    maximal independent subset), or of the first ``need`` of them."""
+    pivots = _echelon(rows, len(rows[0]) if rows else 0)[2]
+    return pivots if need is None else pivots[:need]
 
 
 def kernel_lattice_basis(A):
     """Basis of the saturated integer kernel lattice {x in Z^n : A x = 0}.
 
-    With U A V = D diagonal, the columns of V matching zero diagonal entries
-    form a basis of the kernel lattice (V is unimodular, so they span a
-    direct summand of Z^n).
+    With A V = H in column echelon form, the columns of V past the pivots
+    map to zero; V is unimodular, so they span a direct summand of Z^n.
     """
     if not A:
         return []
     n = len(A[0])
-    _, D, V = diagonalize(A)
-    r = sum(1 for t in range(min(len(D), n)) if D[t][t] != 0)
-    cols = []
-    for j in range(r, n):
-        cols.append(tuple(V[i][j] for i in range(n)))
-    return cols
+    _, V, pivots = _echelon(A, n)
+    return [tuple(row[j] for row in V) for j in range(len(pivots), n)]
+
+
+def diagonalize(A):
+    """Integer diagonal form (D, V): U A V = D for some unimodular U and V.
+
+    Column and row echelon forms alternate until D is diagonal (not
+    necessarily with the Smith divisibility chain, which nothing here
+    needs).  The diagonal entries are nonnegative, the nonzero ones first.
+    """
+    m = len(A)
+    n = len(A[0]) if m else 0
+    D, V, _ = _echelon(A, n)
+    while any(x for i, row in enumerate(D) for j, x in enumerate(row) if i != j):
+        # row operations: the column echelon form of the transpose
+        R = list(zip(*_echelon(list(zip(*D)), m)[0]))
+        D, W, _ = _echelon(R, n)
+        V = [[dot(row, col) for col in zip(*W)] for row in V]
+    return D, V

@@ -68,7 +68,10 @@ def _cmd_symbolic(args):
     for k in range(1, args.k + 1):
         ordinary = I if k == 1 else ordinary * I
         sym = symbolic.symbolic_power(I, k, variant).ideal
-        extra = [g for g in sym.generators if not ordinary.contains(g)]
+        # I^k lies in I^(k), so an ordinary generator dividing a minimal
+        # symbolic generator g is g itself
+        plain = set(ordinary.exponents)
+        extra = [g for g in sym.generators if g.exponents not in plain]
         rows.append((k, ordinary, sym, extra))
 
     def text():

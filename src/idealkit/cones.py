@@ -3,7 +3,8 @@
 Rees cones, Simis cones, V/H conversion by the double description method,
 minimal Hilbert bases via a placing triangulation, normality certificates,
 integral closure and symbolic Rees algebra generators.  Every computation is
-exact over the integers: primitive vectors, rational elimination, no floats.
+exact over the integers: primitive vectors, integer Hermite elimination, no
+floats.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from math import lcm, prod
 from ._linalg import (
     diagonalize,
     dot,
-    frac_inverse,
     independent_rows,
     kernel_lattice_basis,
     primitive,
@@ -93,16 +93,16 @@ def _dd_pointed(rows, d):
     sel = independent_rows(rows, need=d)
     if len(sel) < d:
         raise ValueError("cone is not pointed (inequality matrix rank deficient)")
-    B = [rows[i] for i in sel]
-    Binv = frac_inverse(B)
     rays = []
     actives = []
-    for j in range(d):
-        col = [Binv[i][j] for i in range(d)]
-        denom = lcm(*(x.denominator for x in col))
-        v = primitive(tuple(int(x * denom) for x in col))
+    for j, row_id in enumerate(sel):
+        # the ray on every starting facet but row_id's, on its positive side
+        rest = sel[:j] + sel[j + 1:]
+        v = kernel_lattice_basis([rows[i] for i in rest])[0] if rest else (1,)
+        if dot(rows[row_id], v) < 0:
+            v = tuple(-x for x in v)
         rays.append(v)
-        actives.append(frozenset(sel[i] for i in range(d) if i != j))
+        actives.append(frozenset(rest))
 
     processed = list(sel)
     for row_id in range(len(rows)):
@@ -334,14 +334,14 @@ def _parallelepiped_points(rays, budget):
     """Lattice points of {sum lambda_i r_i : 0 <= lambda_i < 1} for linearly
     independent integer rays.  Returns (points including 0, lattice index).
 
-    With U A V = D for the ray matrix A (columns are rays), the points are
-    A frac(V c / D) for c in the box of D, computed in integers over the
-    common denominator L = lcm(D).
+    With U A V = D for the ray matrix A (columns are rays) and some
+    unimodular U, the points are A frac(V c / D) for c in the box of D,
+    computed in integers over the common denominator L = lcm(D).
     """
     t = len(rays)
     d = len(rays[0])
     A = [[rays[j][i] for j in range(t)] for i in range(d)]  # columns are rays
-    _, D, V = diagonalize(A)
+    D, V = diagonalize(A)
     diag = [D[k][k] for k in range(t)]
     if any(x == 0 for x in diag):
         raise ValueError("parallelepiped rays are linearly dependent")

@@ -8,6 +8,8 @@ covers by brute force, semigroup membership by bounded coefficient search.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+from math import gcd
 
 from idealkit import Monomial, MonomialIdeal, PolyContext, WeightedDigraph
 from idealkit._linalg import dot
@@ -249,21 +251,17 @@ def cone_member_caratheodory(v, rays):
     By Caratheodory, v lies in the cone iff it is a nonnegative rational
     combination of some linearly independent subset of the rays.
     """
-    from fractions import Fraction
-
-    from idealkit._linalg import frac_solve, independent_rows
-
     if not any(v):
         return True
     d = len(v)
     rays = [tuple(r) for r in rays]
     for size in range(1, d + 1):
         for subset in itertools.combinations(rays, size):
-            if len(independent_rows(list(subset))) < size:
+            if len(independent_rows_reference(list(subset))) < size:
                 continue
             # solve subset^T x = v on a set of independent coordinate rows
             cols = [[r[i] for r in subset] for i in range(d)]
-            sel = independent_rows(cols, need=size)
+            sel = independent_rows_reference(cols, need=size)
             if len(sel) < size:
                 continue
             try:
@@ -357,3 +355,90 @@ def strong_covers_by_subsets(D):
             if D.is_vertex_cover(combo) and D.is_strong_cover(combo):
                 out.append(D.cover_partition(combo))
     return out
+
+
+# ---------------------------------------------------------------------------
+# exact linear algebra over the rationals, by plain Gauss-Jordan elimination
+# on Fractions, as references for the library's integer echelon routine
+
+def rank_reference(rows):
+    """Rank by exact rational elimination."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    ncols = len(m[0]) if m else 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c] / m[r][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+def independent_rows_reference(rows, need=None):
+    """Greedy indices of rows independent of the rows picked before them."""
+    picked = []
+    basis = []
+    for idx, row in enumerate(rows):
+        v = [Fraction(x) for x in row]
+        for b in basis:
+            c = next((j for j, x in enumerate(b) if x != 0), None)
+            if c is not None and v[c] != 0:
+                f = v[c] / b[c]
+                v = [a - f * x for a, x in zip(v, b)]
+        if any(x != 0 for x in v):
+            picked.append(idx)
+            basis.append(v)
+            if need is not None and len(picked) == need:
+                break
+    return picked
+
+
+def frac_solve(A, b):
+    """Solve a square nonsingular system exactly; ValueError if singular."""
+    n = len(A)
+    m = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(A, b)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        m[c], m[piv] = m[piv], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for i in range(n):
+            if i != c and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * x for a, x in zip(m[i], m[c])]
+    return [row[n] for row in m]
+
+
+def det_reference(M):
+    """Determinant of a square integer matrix, by rational elimination."""
+    m = [[Fraction(x) for x in row] for row in M]
+    n = len(m)
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, n):
+            f = m[i][c] / m[c][c]
+            m[i] = [a - f * x for a, x in zip(m[i], m[c])]
+    return int(det)
+
+
+def minors_gcd(M, size):
+    """gcd of the size x size minors of an integer matrix (1 for size 0)."""
+    g = 0
+    ncols = len(M[0]) if M else 0
+    for rs in itertools.combinations(range(len(M)), size):
+        for cs in itertools.combinations(range(ncols), size):
+            g = gcd(g, det_reference([[M[i][j] for j in cs] for i in rs]))
+    return g

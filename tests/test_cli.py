@@ -212,3 +212,21 @@ def test_route_disagreement_exits_1_without_traceback(capsys, monkeypatch):
 def test_k_validation(capsys):
     code, _, err = run(capsys, "symbolic", "--k", "0", FIXTURES / "ex2_10.ideal")
     assert code == 1 and "k" in err
+
+
+@pytest.mark.parametrize("variant", ["min", "ass"])
+def test_symbolic_extra_matches_divisibility_definition(capsys, variant):
+    # extra: the minimal symbolic generators that no ordinary generator divides
+    kept = dropped = 0
+    for path in sorted(FIXTURES.glob("*.ideal")):
+        code, out, _ = run(capsys, "--format", "structured", "symbolic",
+                           "--k", "3", "--variant", variant, path)
+        assert code == 0
+        for power in json.loads(out)["powers"]:
+            want = [g for g in power["symbolic"]
+                    if not any(all(a <= b for a, b in zip(o, g))
+                               for o in power["ordinary"])]
+            assert power["extra"] == want, (path.name, power["k"])
+            kept += len(want)
+            dropped += len(power["symbolic"]) - len(want)
+    assert kept and dropped

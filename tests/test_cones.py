@@ -1,10 +1,17 @@
 """Cone kernel: dual description, Hilbert bases, normality, closure."""
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import idealkit
 from idealkit import (
     EmbeddedPrimeError,
     HypothesisError,
@@ -25,12 +32,13 @@ from idealkit import (
     symbolic_power_min,
     symbolic_rees_generators,
 )
-from idealkit._linalg import dot, frac_solve, independent_rows
+from idealkit._linalg import dot, independent_rows
 from idealkit.cones import _parallelepiped_points
 
 from oracles import (
     box_vectors,
     closure_member_by_powers,
+    frac_solve,
     random_ideal,
     random_pointed_cone,
     semigroup_member_bounded,
@@ -178,6 +186,35 @@ def test_hilbert_basis_wedge():
 def test_hilbert_basis_lower_dimensional_cone():
     hb = hilbert_basis(RationalCone(3, rays=((1, 1, 0), (1, 1, 2))))
     assert set(hb) == {(1, 1, 0), (1, 1, 1), (1, 1, 2)}
+
+
+# A 5-dimensional cone whose 14 x 5 facet matrix once drove the kernel
+# computation into unbounded coefficient growth.
+HANG_CONE_RAYS = ((0, 0, 1, 1, 1), (0, 1, 1, 2, 3), (1, 0, 0, 3, 3),
+                  (1, 1, 1, 3, 1), (1, 3, 0, 2, 1), (1, 3, 1, 0, 3),
+                  (2, 0, 2, 1, 3))
+
+
+def test_hang_cone_finishes_quickly():
+    # in a child process, so that a regression fails instead of hanging
+    code = textwrap.dedent(f"""
+        import json, time
+        from idealkit import RationalCone, dual_description, hilbert_basis
+        start = time.perf_counter()
+        cone = dual_description(RationalCone(5, rays={HANG_CONE_RAYS!r}))
+        hb = hilbert_basis(cone)
+        print(json.dumps([len(cone.inequalities), len(cone.rays), len(hb),
+                          time.perf_counter() - start]))
+    """)
+    src = str(Path(idealkit.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=10, env=env)
+    assert proc.returncode == 0, proc.stderr
+    inequalities, rays, elements, seconds = json.loads(proc.stdout)
+    assert (inequalities, rays, elements) == (14, 7, 79)
+    assert seconds < 1.0
 
 
 def test_hilbert_basis_minimality_and_generation():

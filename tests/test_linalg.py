@@ -1,0 +1,125 @@
+"""Integer linear algebra: the echelon routine against rational references."""
+
+import random
+
+from idealkit._linalg import (
+    _echelon,
+    diagonalize,
+    dot,
+    independent_rows,
+    kernel_lattice_basis,
+    rank,
+)
+
+from oracles import (
+    det_reference,
+    independent_rows_reference,
+    minors_gcd,
+    rank_reference,
+)
+
+SHAPES = ("zero_rows", "tall", "wide", "corank1", "full_column", "low_rank")
+
+
+def _random_matrix(rng, shape):
+    bound = rng.choice([2, 5, 50])
+
+    def entries(m, n):
+        return [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
+
+    n = rng.randint(1, 5)
+    if shape == "zero_rows":
+        A = entries(rng.randint(1, 4), n)
+        for _ in range(rng.randint(1, 3)):
+            A.insert(rng.randint(0, len(A)), [0] * n)
+    elif shape == "tall":
+        A = entries(rng.randint(n + 1, 6), n)
+    elif shape == "wide":
+        n = rng.randint(2, 6)
+        A = entries(rng.randint(1, n - 1), n)
+    elif shape == "corank1":
+        # every row is orthogonal to the kernel vector (k, -1)
+        n = rng.randint(2, 5)
+        k = [rng.randint(-3, 3) for _ in range(n - 1)]
+        A = [row + [dot(row, k)] for row in entries(rng.randint(1, 6), n - 1)]
+    elif shape == "full_column":
+        A = entries(rng.randint(n, 6), n)
+        while rank_reference(A) < n:
+            A = entries(len(A), n)
+    else:
+        # a product of m x t and t x n factors, t below both sizes
+        t = rng.randint(1, n)
+        L, R = entries(rng.randint(t, 6), t), entries(t, n)
+        A = [[dot(row, col) for col in zip(*R)] for row in L]
+    return A
+
+
+def _matrices(seed, count=240):
+    rng = random.Random(seed)
+    return [_random_matrix(rng, SHAPES[i % len(SHAPES)]) for i in range(count)]
+
+
+def test_empty_matrix():
+    assert rank([]) == 0
+    assert independent_rows([]) == []
+    assert kernel_lattice_basis([]) == []
+    assert diagonalize([]) == ([], [])
+
+
+def test_echelon_is_a_reduced_column_hermite_form():
+    for A in _matrices(10):
+        n = len(A[0])
+        H, V, pivots = _echelon(A, n)
+        assert [[dot(row, col) for col in zip(*V)] for row in A] == H, A
+        assert abs(det_reference(V)) == 1, A
+        r = len(pivots)
+        assert pivots == sorted(pivots) and r == rank_reference(A), A
+        for i, row in enumerate(H):
+            # each row is zero from the column after its last pivot on
+            k = sum(p <= i for p in pivots)
+            assert not any(row[k:]), A
+        for k, i in enumerate(pivots):
+            assert H[i][k] > 0 and all(0 <= x < H[i][k] for x in H[i][:k]), A
+
+
+def test_rank_and_independent_rows_match_rational_reference():
+    deficient = 0
+    for A in _matrices(11):
+        r = rank_reference(A)
+        deficient += r < min(len(A), len(A[0]))
+        assert rank(A) == r, A
+        assert independent_rows(A) == independent_rows_reference(A), A
+        for need in range(1, r + 2):
+            assert (independent_rows(A, need=need)
+                    == independent_rows_reference(A, need=need)), (A, need)
+    assert deficient > 40
+
+
+def test_kernel_lattice_basis_is_saturated_kernel():
+    for A in _matrices(12):
+        n = len(A[0])
+        basis = kernel_lattice_basis(A)
+        assert len(basis) == n - rank_reference(A), A
+        assert all(len(v) == n and not any(dot(row, v) for row in A)
+                   for v in basis), A
+        if basis:
+            # saturated: Z^n / span(basis) is torsion-free
+            assert minors_gcd(basis, len(basis)) == 1, A
+
+
+def test_diagonalize_is_an_equivalent_diagonal_form():
+    for A in _matrices(13, count=120):
+        m, n = len(A), len(A[0])
+        D, V = diagonalize(A)
+        assert len(D) == m and all(len(row) == n for row in D)
+        assert all(D[i][j] == 0 for i in range(m) for j in range(n) if i != j), A
+        diag = [D[k][k] for k in range(min(m, n))]
+        r = rank_reference(A)
+        assert all(x > 0 for x in diag[:r]) and not any(diag[r:]), A
+        assert abs(det_reference(V)) == 1, A
+        product = 1
+        for x in diag[:r]:
+            product *= x
+        assert product == minors_gcd(A, r), A
+        # equal determinantal divisors: U A V = D for a unimodular U
+        assert all(minors_gcd(D, j) == minors_gcd(A, j) for j in range(1, r)), A

@@ -40,3 +40,20 @@ def test_library_has_no_unused_imports():
         found += [f"{path.name}:{line}: {name}"
                   for name, line in _imported_names(tree) if name not in used]
     assert found == []
+
+
+def test_library_does_not_import_fractions():
+    # the cone kernel's linear algebra is integer-only
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "fractions"]
+    assert found == []
