@@ -42,6 +42,7 @@ from .symbolic import (
     symbolic_power,
     symbolic_power_ass,
     symbolic_power_min,
+    symbolic_powers,
     symbolic_vs_ordinary_certificate,
 )
 from .cones import (

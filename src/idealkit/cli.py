@@ -65,9 +65,8 @@ def _cmd_symbolic(args):
     variant = (symbolic.Variant.ALL_ASS_PRIMES if args.variant == "ass"
                else symbolic.Variant.MIN_PRIMES)
     rows = []
-    for k in range(1, args.k + 1):
-        ordinary = I if k == 1 else ordinary * I
-        sym = symbolic.symbolic_power(I, k, variant).ideal
+    for k, ordinary, sym in symbolic.symbolic_powers(I, range(1, args.k + 1),
+                                                     variant):
         # I^k lies in I^(k), so an ordinary generator dividing a minimal
         # symbolic generator g is g itself
         plain = set(ordinary.exponents)

@@ -22,6 +22,7 @@ from ._linalg import (
     rank,
 )
 from .core import Monomial, MonomialIdeal, _minimal_vecs
+from .decomposition import irreducible_decomposition, primary_without_embedded
 from .errors import HypothesisError, NonPointedConeError, ResourceCapError
 
 #: Default ceiling on enumerated parallelepiped lattice points per call.
@@ -221,24 +222,23 @@ def rees_cone(I: MonomialIdeal) -> RationalCone:
 
 
 def simis_cone(I: MonomialIdeal) -> RationalCone:
-    """Intersection of the Rees cones of the primary components.
+    """Intersection of the Rees cones of the primary components."""
+    I.require_proper_nonzero("the Simis cone")
+    comps = primary_without_embedded(irreducible_decomposition(I), "the Simis cone")
+    return _simis_cone(comps, I.context.n + 1)
+
+
+def _simis_cone(comps, d):
+    """Simis cone in Z^d of the ideal with primary components ``comps``.
 
     Built by concatenating the components' H-representations; the inequality
     list is then pruned to the facets (inequalities whose saturated extreme
     rays span a hyperplane), with a fallback to the unpruned list if the
     pruned system fails to reproduce the same ray set.
     """
-    from .decomposition import has_embedded_primes, primary_decomposition
-    from .errors import EmbeddedPrimeError
-
-    I.require_proper_nonzero("the Simis cone")
-    if has_embedded_primes(I):
-        raise EmbeddedPrimeError("the Simis cone needs an ideal without embedded primes")
-    d = I.context.n + 1
     ineqs = []
-    for comp in primary_decomposition(I):
-        rc = dual_description(rees_cone(comp.ideal))
-        ineqs.extend(rc.inequalities)
+    for comp in comps:
+        ineqs.extend(dual_description(rees_cone(comp.ideal)).inequalities)
     ineqs = list(_canonical_vectors(ineqs))
     rays, lin = _cone_generators(ineqs, d)
     gens = _with_lineality(rays, lin)
@@ -482,15 +482,10 @@ def integral_closure(I: MonomialIdeal,
 def check_symbolic_rees_normal(I: MonomialIdeal,
                                max_lattice_points: int = DEFAULT_LATTICE_CAP) -> bool:
     """Normality of the symbolic Rees algebra: every primary component normal."""
-    from .decomposition import has_embedded_primes, primary_decomposition
-    from .errors import EmbeddedPrimeError
-
     I.require_proper_nonzero("the symbolic Rees normality check")
-    if has_embedded_primes(I):
-        raise EmbeddedPrimeError(
-            "the symbolic Rees normality criterion needs no embedded primes")
-    return all(is_normal(c.ideal, max_lattice_points)
-               for c in primary_decomposition(I))
+    comps = primary_without_embedded(irreducible_decomposition(I),
+                                     "the symbolic Rees normality criterion")
+    return all(is_normal(c.ideal, max_lattice_points) for c in comps)
 
 
 def symbolic_rees_generators(I: MonomialIdeal,
@@ -499,16 +494,13 @@ def symbolic_rees_generators(I: MonomialIdeal,
 
     Valid when I has no embedded primes and every primary component is
     normal: then the Hilbert basis of the Simis cone generates."""
-    from .decomposition import has_embedded_primes, primary_decomposition
-    from .errors import EmbeddedPrimeError
-
     I.require_proper_nonzero("symbolic Rees generators")
-    if has_embedded_primes(I):
-        raise EmbeddedPrimeError("symbolic Rees generators need no embedded primes")
-    for comp in primary_decomposition(I):
+    comps = primary_without_embedded(irreducible_decomposition(I),
+                                     "the symbolic Rees generator recipe")
+    for comp in comps:
         if not is_normal(comp.ideal, max_lattice_points):
             raise HypothesisError(
                 f"primary component {comp.ideal} is not normal, so the "
                 f"Hilbert basis recipe does not apply")
-    hb = hilbert_basis(simis_cone(I), max_lattice_points)
+    hb = hilbert_basis(_simis_cone(comps, I.context.n + 1), max_lattice_points)
     return tuple((Monomial(I.context, v[:-1]), v[-1]) for v in hb.elements)

@@ -28,7 +28,7 @@ from .core import (
     _same_context,
     intersect_all,
 )
-from .errors import ImproperIdealError
+from .errors import EmbeddedPrimeError, ImproperIdealError
 
 
 @dataclass(frozen=True)
@@ -268,26 +268,34 @@ def is_primary(I: MonomialIdeal):
     return MonomialPrime(I.context, tuple(sorted(pure)))
 
 
-def primary_decomposition(I: MonomialIdeal) -> Decomposition:
-    """Minimal primary decomposition: irreducible components grouped by radical."""
-    dec = irreducible_decomposition(I)
+def _primary(dec):
+    """Irreducible decomposition ``dec`` grouped by radical."""
     groups = {}
     for comp in dec:
         groups.setdefault(comp.variables, []).append(comp)
     out = []
     for vs, comps in groups.items():
         ideal = intersect_all([c.as_ideal() for c in comps])
-        out.append(PrimaryIdeal(ideal, MonomialPrime(I.context, vs)))
+        out.append(PrimaryIdeal(ideal, MonomialPrime(ideal.context, vs)))
     return Decomposition(tuple(out))
 
 
-def associated_primes(I: MonomialIdeal):
-    """Radicals of the irreducible components, deduplicated."""
-    dec = irreducible_decomposition(I)
+def primary_decomposition(I: MonomialIdeal) -> Decomposition:
+    """Minimal primary decomposition: irreducible components grouped by radical."""
+    return _primary(irreducible_decomposition(I))
+
+
+def _associated(dec):
+    """Radicals of the components of an irreducible decomposition, deduplicated."""
     seen = {}
     for comp in dec:
         seen[comp.variables] = comp.radical()
     return tuple(seen[k] for k in sorted(seen))
+
+
+def associated_primes(I: MonomialIdeal):
+    """Radicals of the irreducible components, deduplicated."""
+    return _associated(irreducible_decomposition(I))
 
 
 def _inclusion_minimal(primes):
@@ -302,7 +310,18 @@ def minimal_primes(I: MonomialIdeal):
 
 def has_embedded_primes(I: MonomialIdeal) -> bool:
     primes = associated_primes(I)
-    return len(primes) != len(_inclusion_minimal(primes))
+    return primes != _inclusion_minimal(primes)
+
+
+def primary_without_embedded(dec: Decomposition, what: str) -> Decomposition:
+    """Primary decomposition from the irreducible decomposition ``dec``, or
+    EmbeddedPrimeError (naming ``what``) if ``dec`` has an embedded prime:
+    the one test of the hypothesis that the results on symbolic powers and
+    the Simis cone rest on."""
+    primes = _associated(dec)
+    if primes != _inclusion_minimal(primes):
+        raise EmbeddedPrimeError(f"{what} needs an ideal without embedded primes")
+    return _primary(dec)
 
 
 def is_unmixed(I: MonomialIdeal) -> bool:

@@ -13,12 +13,13 @@ tournaments.
 from __future__ import annotations
 
 import enum
+import heapq
 import warnings
 from dataclasses import dataclass, field
 
 from .core import MonomialIdeal, PolyContext, _minimal_vecs
 from .decomposition import Decomposition, IrreducibleIdeal
-from .errors import DigraphError, HypothesisError, ResourceCapError
+from .errors import DigraphError, HypothesisError, ImproperIdealError, ResourceCapError
 
 DEFAULT_VERTEX_CAP = 20
 
@@ -95,8 +96,7 @@ class WeightedDigraph:
         return set(self._nbrs[v])
 
     def isolated_vertices(self):
-        touched = {v for arc in self.arcs for v in arc}
-        return [v for v in range(self.context.n) if v not in touched]
+        return [v for v in range(self.context.n) if not self._nbrs[v]]
 
     def _resolve_set(self, vertices):
         out = set()
@@ -190,7 +190,6 @@ class WeightedDigraph:
         """Irreducible decomposition of the edge ideal, one component per
         strong cover: L1 vertices enter with exponent 1, L2/L3 vertices with
         their weight."""
-        from .errors import ImproperIdealError
         if not self.arcs:
             raise ImproperIdealError(
                 "the digraph has no arcs, so its edge ideal is zero and has "
@@ -207,41 +206,27 @@ class WeightedDigraph:
     def structure(self) -> "DigraphStructure":
         n = self.context.n
         order = self._topological_order()
-        transitive = True
-        by_tail = {}
-        for i, j in self.arcs:
-            by_tail.setdefault(i, set()).add(j)
-        for i, j in self.arcs:
-            for k in by_tail.get(j, ()):
-                if k != i and k not in by_tail.get(i, set()):
-                    transitive = False
-                    break
-            if not transitive:
-                break
-        pairs = {(min(i, j), max(i, j)) for i, j in self.arcs}
-        tournament = all((a, b) in pairs
-                         for a in range(n) for b in range(a + 1, n))
+        # i -> j -> k forces i -> k; k == i cannot occur without a 2-cycle
+        transitive = all(self._out[j] <= self._out[i] for i, j in self.arcs)
+        tournament = len(self.edges()) == n * (n - 1) // 2
         topo = None
         if order is not None:
             topo = tuple(self.context.names[v] for v in order)
         return DigraphStructure(order is not None, transitive, tournament, topo)
 
     def _topological_order(self):
+        """Kahn's order, smallest ready vertex first; None on a cycle."""
         n = self.context.n
-        indeg = [0] * n
-        for _, j in self.arcs:
-            indeg[j] += 1
-        ready = sorted(v for v in range(n) if indeg[v] == 0)
+        indeg = [len(s) for s in self._in]
+        ready = [v for v in range(n) if indeg[v] == 0]
         order = []
         while ready:
-            v = ready.pop(0)
+            v = heapq.heappop(ready)
             order.append(v)
-            for i, j in sorted(self.arcs):
-                if i == v:
-                    indeg[j] -= 1
-                    if indeg[j] == 0:
-                        ready.append(j)
-            ready.sort()
+            for j in self._out[v]:
+                indeg[j] -= 1
+                if indeg[j] == 0:
+                    heapq.heappush(ready, j)
         return order if len(order) == n else None
 
     def is_forest(self) -> bool:

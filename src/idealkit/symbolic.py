@@ -1,15 +1,16 @@
 """Symbolic powers of monomial ideals by both definitions.
 
-Two routes compute the minimal-primes symbolic power I^(k): localizing I^k at
-each minimal prime and intersecting, or powering the primary components at
-minimal primes (valid when I has no embedded primes).  The default runs the
-cheap primary-powers route and cross-checks it against the localization route
-whenever the no-embedded-primes hypothesis holds; a disagreement raises
-RouteMismatchError.
+``symbolic_powers`` computes every requested power from one decomposition of
+I and one chain of products.  Two routes give the minimal-primes symbolic
+power I^(k): localizing I^k at each minimal prime and intersecting, or
+powering the primary components (valid when I has no embedded primes).  The
+default AUTO route takes the primary powers and cross-checks them against
+the localization route when I has no embedded primes; a disagreement raises
+RouteMismatchError.  With embedded primes, AUTO localizes only.
 
-The variant over the full set of associated primes, I^<k>, localizes at the
-inclusion-maximal associated primes; using all associated primes gives the
-same ideal.
+The variant over the full set of associated primes, I^<k>, is computed by
+localization alone, at the inclusion-maximal associated primes; using all
+associated primes gives the same ideal.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from .cones import _simis_cone, cones_equal, dual_description, is_normal, rees_cone
 from .core import MonomialIdeal, intersect_all
 from .decomposition import (
-    associated_primes,
-    has_embedded_primes,
+    _associated,
+    _inclusion_minimal,
+    irreducible_decomposition,
     localize,
-    minimal_primes,
-    primary_decomposition,
+    primary_without_embedded,
 )
 from .errors import EmbeddedPrimeError, RouteMismatchError
 
@@ -47,66 +49,71 @@ class SymbolicPowerResult:
     variant: Variant
 
 
-def _check_k(k):
-    if k < 1:
+def symbolic_powers(I: MonomialIdeal, ks, variant=Variant.MIN_PRIMES,
+                    route=Route.AUTO):
+    """Yield (k, I^k, symbolic power) for each k in ``ks``, in ascending order.
+
+    I is decomposed once.  I^k and, on the primary-powers route, the power
+    of each primary component grow as single chains of products up to
+    max(ks); intersections happen only at the requested k.  ``route`` picks
+    how I^(k) is computed; I^<k> always localizes.
+    """
+    I.require_proper_nonzero("symbolic powers")
+    ks = set(ks)
+    if min(ks, default=0) < 1:
         raise ValueError("symbolic powers need k >= 1")
-
-
-def _sp_localization(I, k, primes):
-    Ik = I ** k
-    return intersect_all([localize(Ik, p) for p in primes])
+    variant, route = Variant(variant), Route(route)
+    dec = irreducible_decomposition(I)
+    primes = _associated(dec)
+    comps = None
+    if variant is Variant.ALL_ASS_PRIMES:
+        local = [p for p in primes
+                 if not any(q is not p and p.issubset(q) for q in primes)]
+    else:
+        local = _inclusion_minimal(primes)
+        if route is not Route.LOCALIZATION:
+            try:
+                comps = [c.ideal for c in primary_without_embedded(
+                    dec, "the primary-powers route")]
+            except EmbeddedPrimeError:
+                if route is Route.PRIMARY_POWERS:
+                    raise
+    Ik, powers = I, comps
+    for k in range(1, max(ks) + 1):
+        if k > 1:
+            Ik = Ik * I
+            if comps:
+                powers = [q * c for q, c in zip(powers, comps)]
+        if k not in ks:
+            continue
+        sym = intersect_all(powers) if comps else None
+        if sym is None or route is Route.AUTO:
+            slow = intersect_all([localize(Ik, p) for p in local])
+            if sym is not None and sym != slow:
+                raise RouteMismatchError(
+                    f"symbolic power routes disagree for {I} at k={k}: "
+                    f"{sym} vs {slow}")
+            sym = slow
+        yield k, Ik, sym
 
 
 def symbolic_power_min(I: MonomialIdeal, k: int, route=Route.AUTO) -> MonomialIdeal:
     """I^(k): the symbolic power over the minimal primes of I."""
-    I.require_proper_nonzero("symbolic powers")
-    _check_k(k)
-    route = Route(route)
-    if route is Route.LOCALIZATION:
-        return _sp_localization(I, k, minimal_primes(I))
-    embedded = has_embedded_primes(I)
-    if route is Route.PRIMARY_POWERS:
-        if embedded:
-            raise EmbeddedPrimeError(
-                "the primary-powers route needs an ideal without embedded primes")
-        return intersect_all([c.ideal ** k for c in primary_decomposition(I)])
-    # auto: fast route plus cross-check when the hypothesis holds
-    if embedded:
-        return _sp_localization(I, k, minimal_primes(I))
-    fast = intersect_all([c.ideal ** k for c in primary_decomposition(I)])
-    slow = _sp_localization(I, k, minimal_primes(I))
-    if fast != slow:
-        raise RouteMismatchError(
-            f"symbolic power routes disagree for {I} at k={k}: "
-            f"{fast} vs {slow}")
-    return fast
+    return next(symbolic_powers(I, [k], route=route))[2]
 
 
 def symbolic_power(I: MonomialIdeal, k: int, variant=Variant.MIN_PRIMES,
                    route=Route.AUTO) -> SymbolicPowerResult:
     """Symbolic power with its provenance (variant and route) attached."""
     variant = Variant(variant)
-    if variant is Variant.MIN_PRIMES:
-        ideal = symbolic_power_min(I, k, route)
-    else:
-        ideal = symbolic_power_ass(I, k)
-        route = Route.LOCALIZATION
-    return SymbolicPowerResult(ideal, k, Route(route), variant)
+    route = Route.LOCALIZATION if variant is Variant.ALL_ASS_PRIMES else Route(route)
+    ideal = next(symbolic_powers(I, [k], variant, route))[2]
+    return SymbolicPowerResult(ideal, k, route, variant)
 
 
 def symbolic_power_ass(I: MonomialIdeal, k: int) -> MonomialIdeal:
-    """I^<k>: the symbolic power over all associated primes.
-
-    Localizes at the inclusion-maximal associated primes; the non-maximal
-    localizations are redundant in the intersection.
-    """
-    I.require_proper_nonzero("symbolic powers")
-    _check_k(k)
-    primes = associated_primes(I)
-    max_ass = [p for p in primes
-               if not any(q is not p and p.issubset(q) for q in primes)]
-    Ik = I ** k
-    return intersect_all([localize(Ik, p) for p in max_ass])
+    """I^<k>: the symbolic power over all associated primes."""
+    return next(symbolic_powers(I, [k], Variant.ALL_ASS_PRIMES))[2]
 
 
 @dataclass(frozen=True)
@@ -124,16 +131,10 @@ class NtfReport:
 def ntf_probe(I: MonomialIdeal, kmax: int = 4) -> NtfReport:
     """Compare I^k with I^(k) for k = 1..kmax."""
     I.require_proper_nonzero("the torsion-freeness probe")
-    _check_k(kmax)
-    flags = []
-    first = None
-    for k in range(1, kmax + 1):
-        ordinary = I if k == 1 else ordinary * I
-        ok = ordinary == symbolic_power_min(I, k)
-        flags.append(ok)
-        if not ok and first is None:
-            first = k
-    return NtfReport(kmax, tuple(flags), first)
+    flags = tuple(Ik == sym for _, Ik, sym in
+                  symbolic_powers(I, range(1, kmax + 1)))
+    first = next((k for k, ok in enumerate(flags, 1) if not ok), None)
+    return NtfReport(kmax, flags, first)
 
 
 class EqualityCertificate(str, enum.Enum):
@@ -149,13 +150,15 @@ def symbolic_vs_ordinary_certificate(I: MonomialIdeal) -> EqualityCertificate:
     normal; then equality for every k holds iff the Simis cone equals the
     Rees cone and I itself is normal.
     """
-    from .cones import cones_equal, dual_description, is_normal, rees_cone, simis_cone
-
     I.require_proper_nonzero("the equality certificate")
-    if has_embedded_primes(I):
+    try:
+        comps = primary_without_embedded(irreducible_decomposition(I),
+                                         "the cone criterion")
+    except EmbeddedPrimeError:
         return EqualityCertificate.INAPPLICABLE
-    if not all(is_normal(c.ideal) for c in primary_decomposition(I)):
+    if not all(is_normal(c.ideal) for c in comps):
         return EqualityCertificate.INAPPLICABLE
-    if cones_equal(simis_cone(I), dual_description(rees_cone(I))) and is_normal(I):
+    simis = _simis_cone(comps, I.context.n + 1)
+    if cones_equal(simis, dual_description(rees_cone(I))) and is_normal(I):
         return EqualityCertificate.EQUAL_BY_CONE_CRITERION
     return EqualityCertificate.UNEQUAL

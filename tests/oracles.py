@@ -11,7 +11,13 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from idealkit import Monomial, MonomialIdeal, PolyContext, WeightedDigraph
+from idealkit import (
+    DigraphStructure,
+    Monomial,
+    MonomialIdeal,
+    PolyContext,
+    WeightedDigraph,
+)
 from idealkit._linalg import dot
 
 
@@ -355,6 +361,30 @@ def strong_covers_by_subsets(D):
             if D.is_vertex_cover(combo) and D.is_strong_cover(combo):
                 out.append(D.cover_partition(combo))
     return out
+
+
+def structure_reference(D):
+    """DigraphStructure of D by brute force over the arc set alone.
+
+    Transitive: every pair of arcs (a, b), (b, c) with a != c has the arc
+    (a, c).  Topological order: repeatedly place the smallest vertex whose
+    in-arcs all come from placed vertices; None when none is left to place
+    before every vertex is placed (a cycle)."""
+    n = D.context.n
+    arcs = D.arcs
+    transitive = all((a, d) in arcs for a, b in arcs for c, d in arcs
+                     if b == c and a != d)
+    tournament = all((a, b) in arcs or (b, a) in arcs
+                     for a in range(n) for b in range(a + 1, n))
+    placed = []
+    while len(placed) < n:
+        ready = [v for v in range(n) if v not in placed
+                 and all(a in placed for a, b in arcs if b == v)]
+        if not ready:
+            break
+        placed.append(min(ready))
+    order = tuple(D.names[v] for v in placed) if len(placed) == n else None
+    return DigraphStructure(order is not None, transitive, tournament, order)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,9 @@ from idealkit import (
 from oracles import (
     random_forest_digraph,
     random_oriented_digraph,
+    random_transitive_digraph,
     strong_covers_by_subsets,
+    structure_reference,
 )
 
 
@@ -237,6 +239,20 @@ def test_structure_acyclic_tournament():
     D = WeightedDigraph.of([(f"x{i}", 1) for i in range(1, 5)], arcs)
     st = D.structure()
     assert st.acyclic and st.transitive and st.tournament
+
+
+def test_structure_matches_brute_force_reference():
+    rng = random.Random(2203)
+    graphs = [random_oriented_digraph(rng) for _ in range(200)]
+    graphs += [random_transitive_digraph(rng) for _ in range(50)]
+    flags = set()
+    for D in graphs:
+        st = D.structure()
+        assert st == structure_reference(D), str(D)
+        flags.add((st.acyclic, st.transitive, st.tournament))
+    # cyclic, acyclic, transitive and not, tournaments and not all occur
+    assert {f[0] for f in flags} == {f[1] for f in flags} == {True, False}
+    assert {f[2] for f in flags} == {True, False}
 
 
 def test_structure_cycle():

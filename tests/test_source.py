@@ -57,3 +57,40 @@ def test_library_does_not_import_fractions():
             found += [f"{path.name}:{node.lineno}" for name in names
                       if name.split(".")[0] == "fractions"]
     assert found == []
+
+
+
+def _sibling_imports(node):
+    """Modules of the package that the import statement ``node`` loads."""
+    if isinstance(node, ast.ImportFrom) and node.level == 1:
+        if node.module:
+            return {node.module.split(".")[0]}
+        return {alias.name for alias in node.names}
+    if isinstance(node, ast.ImportFrom):
+        names = [node.module or ""]
+    elif isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    else:
+        return set()
+    prefix = SRC.name + "."
+    return {name[len(prefix):].split(".")[0] for name in names
+            if name.startswith(prefix)}
+
+
+def test_function_level_imports_only_break_cycles():
+    # an import inside a function is allowed only when the imported module
+    # imports this one at top level, so a top-level import would be circular
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    top = {name: set().union(*map(_sibling_imports, tree.body))
+           for name, tree in trees.items()}
+    found = []
+    for name, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue
+            for node in ast.walk(stmt):
+                found += [f"{name}.py:{node.lineno}: {target}"
+                          for target in _sibling_imports(node)
+                          if name not in top.get(target, ())]
+    assert found == []

@@ -1,9 +1,12 @@
 """Symbolic powers: worked values, route agreement, containment chain."""
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
+import idealkit.decomposition
 import idealkit.symbolic
 from idealkit import (
     EmbeddedPrimeError,
@@ -12,15 +15,27 @@ from idealkit import (
     ImproperIdealError,
     MonomialIdeal,
     PolyContext,
+    Route,
     RouteMismatchError,
+    Variant,
+    associated_primes,
     has_embedded_primes,
+    intersect_all,
+    minimal_primes,
     ntf_probe,
+    simis_cone,
     symbolic_power_ass,
     symbolic_power_min,
+    symbolic_powers,
+    symbolic_rees_generators,
     symbolic_vs_ordinary_certificate,
 )
+from idealkit.cli import main
+from idealkit.formats import parse_ideal_file
 
-from oracles import random_ideal, random_no_embedded_ideal
+from oracles import random_ideal, random_no_embedded_ideal, saturation_localize
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_example_2_10_symbolic_square(ex2_10_ideal):
@@ -157,3 +172,85 @@ def test_route_disagreement_raises_library_error(ex2_10_ideal, monkeypatch):
     with pytest.raises(RouteMismatchError, match="routes disagree") as exc:
         symbolic_power_min(ex2_10_ideal, 2)
     assert isinstance(exc.value, IdealKitError)
+
+
+def test_symbolic_powers_matches_saturation_oracle():
+    rng = random.Random(7301)
+    cases = [(path.name, parse_ideal_file(path))
+             for path in sorted(FIXTURES.glob("*.ideal"))]
+    while len(cases) < 36:
+        I = random_ideal(rng, n=rng.choice((3, 4)), max_exp=3, max_gens=3)
+        if I.is_proper_nonzero():
+            cases.append((str(I), I))
+    embedded = 0
+    for label, I in cases:
+        primes = associated_primes(I)
+        has_emb = has_embedded_primes(I)
+        embedded += has_emb
+        maximal = [p for p in primes
+                   if not any(q != p and p.issubset(q) for q in primes)]
+        over = {Variant.MIN_PRIMES: minimal_primes(I), Variant.ALL_ASS_PRIMES: maximal}
+        powers = [I ** k for k in range(1, 5)]
+        for variant, local in over.items():
+            want = [intersect_all([saturation_localize(Ik, p) for p in local])
+                    for Ik in powers]
+            for route in Route:
+                # I^<k> always localizes, so every route applies to it
+                if (variant is Variant.MIN_PRIMES and route is Route.PRIMARY_POWERS
+                        and has_emb):
+                    with pytest.raises(EmbeddedPrimeError):
+                        next(symbolic_powers(I, [1], variant, route))
+                    continue
+                got = list(symbolic_powers(I, range(1, 5), variant, route))
+                assert [k for k, _, _ in got] == [1, 2, 3, 4]
+                assert [Ik for _, Ik, _ in got] == powers, label
+                assert [sym for _, _, sym in got] == want, (label, variant, route)
+                assert list(symbolic_powers(I, {4, 2}, variant, route)) == \
+                    [got[1], got[3]]
+    assert 0 < embedded < len(cases)
+
+
+def test_one_decomposition_per_call(ex2_10_ideal, monkeypatch, capsys):
+    # each call decomposes its ideal once, however many powers it needs
+    calls = []
+    original = idealkit.decomposition.irreducible_decomposition
+
+    def counted(I):
+        calls.append(I)
+        return original(I)
+
+    for module in list(sys.modules.values()):
+        if (module.__name__.startswith("idealkit")
+                and getattr(module, "irreducible_decomposition", None) is original):
+            monkeypatch.setattr(module, "irreducible_decomposition", counted)
+    I = ex2_10_ideal
+    jobs = {
+        "ntf_probe": lambda: ntf_probe(I, 5),
+        "symbolic_power_min": lambda: symbolic_power_min(I, 5),
+        "cli symbolic": lambda: main(["symbolic", "--k", "5",
+                                      str(FIXTURES / "ex2_10.ideal")]),
+        "simis_cone": lambda: simis_cone(I),
+        "symbolic_rees_generators": lambda: symbolic_rees_generators(I),
+        "certificate": lambda: symbolic_vs_ordinary_certificate(I),
+    }
+    for name, job in jobs.items():
+        calls.clear()
+        job()
+        assert len(calls) == 1, name
+    assert capsys.readouterr().err == ""
+
+
+def test_localization_only_at_requested_power(ex2_10_ideal, monkeypatch):
+    seen = []
+    original = idealkit.symbolic.localize
+
+    def counted(J, p):
+        seen.append((J, p))
+        return original(J, p)
+
+    monkeypatch.setattr(idealkit.symbolic, "localize", counted)
+    symbolic_power_min(ex2_10_ideal, 4)
+    I4 = ex2_10_ideal ** 4
+    assert sorted(p.variables for _, p in seen) == \
+        sorted(p.variables for p in minimal_primes(ex2_10_ideal))
+    assert all(J == I4 for J, _ in seen)
