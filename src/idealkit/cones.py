@@ -147,28 +147,18 @@ def _dd_pointed(rows, d):
 def _cone_generators(rows, d):
     """Generators of {x : <a,x> >= 0 for a in rows} in Z^d.
 
-    Returns (extreme rays of the pointed part, lineality lattice basis); the
-    cone is generated by the rays plus +-each lineality vector.
+    Returns the extreme rays of the pointed part, then +-each vector of a
+    lattice basis of the lineality space; together they generate the cone.
     """
     seen = []
     for r in rows:
         p = primitive(tuple(int(x) for x in r))
         if any(p) and p not in seen:
             seen.append(p)
-    if not seen:
-        basis = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
-        return [], basis
-    lin = kernel_lattice_basis(seen)
-    if lin:
-        aug = seen + [tuple(l) for l in lin] + [tuple(-x for x in l) for l in lin]
-        rays = _dd_pointed(aug, d)
-    else:
-        rays = _dd_pointed(seen, d)
-    return rays, [tuple(l) for l in lin]
-
-
-def _with_lineality(rays, lin):
-    return list(rays) + [tuple(l) for l in lin] + [tuple(-x for x in l) for l in lin]
+    lin = ([tuple(l) for l in kernel_lattice_basis(seen)] if seen
+           else [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)])
+    lin += [tuple(-x for x in l) for l in lin]
+    return (_dd_pointed(seen + lin, d) if seen else []) + lin
 
 
 def dual_description(cone: RationalCone) -> RationalCone:
@@ -176,25 +166,22 @@ def dual_description(cone: RationalCone) -> RationalCone:
 
     From rays, the inequalities are the generators of the dual cone; from
     inequalities, the rays are the cone's generators (extreme rays, plus a
-    +-lineality pair when the cone contains a line).  Starting from rays, the
-    ray list is normalized to the extreme rays on the way back.
+    +-lineality pair when the cone contains a line).  Starting from rays,
+    one conversion each way normalizes the ray list to the extreme rays.
     """
     if cone.rays is not None and cone.inequalities is not None:
         return cone
     d = cone.dim
-    if cone.inequalities is not None:
-        rays, lin = _cone_generators(list(cone.inequalities), d)
-        return RationalCone(d, rays=tuple(_with_lineality(rays, lin)),
-                            inequalities=cone.inequalities)
-    ineq_rays, ineq_lin = _cone_generators(list(cone.rays), d)
-    ineqs = _with_lineality(ineq_rays, ineq_lin)
-    rays, lin = _cone_generators(ineqs, d)
-    return RationalCone(d, rays=tuple(_with_lineality(rays, lin)),
+    ineqs = cone.inequalities
+    if ineqs is None:
+        ineqs = _cone_generators(cone.rays, d)
+    return RationalCone(d, rays=tuple(_cone_generators(ineqs, d)),
                         inequalities=tuple(ineqs))
 
 
 def is_pointed(cone: RationalCone) -> bool:
-    cone = dual_description(cone)
+    if cone.inequalities is None:
+        cone = dual_description(cone)
     return rank(list(cone.inequalities)) == cone.dim if cone.inequalities else cone.dim == 0
 
 
@@ -225,29 +212,27 @@ def simis_cone(I: MonomialIdeal) -> RationalCone:
     """Intersection of the Rees cones of the primary components."""
     I.require_proper_nonzero("the Simis cone")
     comps = primary_without_embedded(irreducible_decomposition(I), "the Simis cone")
-    return _simis_cone(comps, I.context.n + 1)
+    return _simis_cone([dual_description(rees_cone(c.ideal)) for c in comps],
+                       I.context.n + 1)
 
 
-def _simis_cone(comps, d):
-    """Simis cone in Z^d of the ideal with primary components ``comps``.
+def _simis_cone(cones, d):
+    """Simis cone in Z^d: the intersection of the Rees cones ``cones``, each
+    already holding both representations.
 
-    Built by concatenating the components' H-representations; the inequality
-    list is then pruned to the facets (inequalities whose saturated extreme
-    rays span a hyperplane), with a fallback to the unpruned list if the
-    pruned system fails to reproduce the same ray set.
+    The union of their inequalities cuts out the intersection; one
+    conversion gives its extreme rays, and the inequalities kept are the
+    facets, those whose tight rays have rank d - 1.  The rank test is exact:
+    the Simis cone holds e_1..e_n and a point at level 1, and lies in the
+    nonnegative orthant, so it is full-dimensional and pointed.  Then every
+    facet appears among the inequalities and is tight on d - 1 independent
+    extreme rays, and any other inequality is tight on a smaller face.
     """
-    ineqs = []
-    for comp in comps:
-        ineqs.extend(dual_description(rees_cone(comp.ideal)).inequalities)
-    ineqs = list(_canonical_vectors(ineqs))
-    rays, lin = _cone_generators(ineqs, d)
-    gens = _with_lineality(rays, lin)
+    ineqs = _canonical_vectors(h for c in cones for h in c.inequalities)
+    rays = _cone_generators(ineqs, d)
     facets = [h for h in ineqs
-              if rank([r for r in gens if dot(h, r) == 0] or [(0,) * d]) == d - 1]
-    check, check_lin = _cone_generators(facets, d) if facets else ([], [])
-    if set(_with_lineality(check, check_lin)) != set(gens):
-        facets = ineqs
-    return RationalCone(d, rays=tuple(gens), inequalities=tuple(facets))
+              if rank([r for r in rays if dot(h, r) == 0] or [(0,) * d]) == d - 1]
+    return RationalCone(d, rays=tuple(rays), inequalities=tuple(facets))
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +409,7 @@ def hilbert_basis(cone: RationalCone,
     """
     cone = dual_description(cone)
     d = cone.dim
-    if cone.rays and rank(list(cone.inequalities) or [(0,) * d]) < d:
+    if cone.rays and not is_pointed(cone):
         raise NonPointedConeError(
             "the cone contains a line; its Hilbert basis is not unique")
     rays = list(cone.rays)
@@ -453,7 +438,13 @@ def is_normal(I: MonomialIdeal,
     satisfies x^a in I^b."""
     I.require_proper_nonzero("the normality test")
     rc = rees_cone(I)
-    return hilbert_basis(rc, max_lattice_points).as_set() <= set(rc.rays)
+    return _generated_by(rc, rc.rays, max_lattice_points)
+
+
+def _generated_by(cone, gens, max_lattice_points):
+    """Does ``gens`` hold the Hilbert basis of ``cone``?  For a Rees cone
+    that is the whole lifted generator set, not the converted cone's rays."""
+    return hilbert_basis(cone, max_lattice_points).as_set() <= set(gens)
 
 
 def integral_closure(I: MonomialIdeal,
@@ -479,13 +470,26 @@ def integral_closure(I: MonomialIdeal,
     return MonomialIdeal(I.context, _minimal_vecs(found))
 
 
+def _component_cones(I: MonomialIdeal, what, max_lattice_points):
+    """(converted Rees cones of I's primary components, None), or stop at
+    the first component that is not normal and return (cones so far, it)."""
+    comps = primary_without_embedded(irreducible_decomposition(I), what)
+    cones = []
+    for comp in comps:
+        rc = rees_cone(comp.ideal)
+        cone = dual_description(rc)
+        if not _generated_by(cone, rc.rays, max_lattice_points):
+            return cones, comp
+        cones.append(cone)
+    return cones, None
+
+
 def check_symbolic_rees_normal(I: MonomialIdeal,
                                max_lattice_points: int = DEFAULT_LATTICE_CAP) -> bool:
     """Normality of the symbolic Rees algebra: every primary component normal."""
     I.require_proper_nonzero("the symbolic Rees normality check")
-    comps = primary_without_embedded(irreducible_decomposition(I),
-                                     "the symbolic Rees normality criterion")
-    return all(is_normal(c.ideal, max_lattice_points) for c in comps)
+    return _component_cones(I, "the symbolic Rees normality criterion",
+                            max_lattice_points)[1] is None
 
 
 def symbolic_rees_generators(I: MonomialIdeal,
@@ -495,12 +499,11 @@ def symbolic_rees_generators(I: MonomialIdeal,
     Valid when I has no embedded primes and every primary component is
     normal: then the Hilbert basis of the Simis cone generates."""
     I.require_proper_nonzero("symbolic Rees generators")
-    comps = primary_without_embedded(irreducible_decomposition(I),
-                                     "the symbolic Rees generator recipe")
-    for comp in comps:
-        if not is_normal(comp.ideal, max_lattice_points):
-            raise HypothesisError(
-                f"primary component {comp.ideal} is not normal, so the "
-                f"Hilbert basis recipe does not apply")
-    hb = hilbert_basis(_simis_cone(comps, I.context.n + 1), max_lattice_points)
+    cones, bad = _component_cones(I, "the symbolic Rees generator recipe",
+                                  max_lattice_points)
+    if bad is not None:
+        raise HypothesisError(
+            f"primary component {bad.ideal} is not normal, so the "
+            f"Hilbert basis recipe does not apply")
+    hb = hilbert_basis(_simis_cone(cones, I.context.n + 1), max_lattice_points)
     return tuple((Monomial(I.context, v[:-1]), v[-1]) for v in hb.elements)

@@ -247,37 +247,33 @@ class WeightedDigraph:
         return True
 
     # -- Cohen-Macaulay classification ----------------------------------
-    def _whisker_matching(self):
+    def _whisker_matching(self, deg):
         """Perfect matching pairing every vertex with a leaf, or None.
 
-        Each leaf must be matched to its unique neighbor, which forces the
-        matching (up to labels inside a two-leaf component).  Pairs come back
-        as (x, y) with y the leaf."""
-        touched = {v for arc in self.arcs for v in arc}
-        if len(touched) != self.context.n:
+        ``deg`` lists the vertex degrees.  Each leaf must be matched to its
+        unique neighbor, which forces the matching (up to labels inside a
+        two-leaf component).  Pairs come back as (x, y) with y the leaf."""
+        if not all(deg):
             return None
-        deg = {v: len(self.neighbors(v)) for v in touched}
         matched = {}
         pairs = []
-        for leaf in sorted(v for v in touched if deg[v] == 1):
+        for leaf in (v for v, k in enumerate(deg) if k == 1):
             if leaf in matched:
                 continue
-            nb = next(iter(self.neighbors(leaf)))
+            nb = next(iter(self._nbrs[leaf]))
             if nb in matched:
                 return None
             matched[leaf] = nb
             matched[nb] = leaf
             pairs.append((nb, leaf))
-        if any(v not in matched for v in touched):
+        if len(matched) != len(deg):
             return None
         return pairs
 
-    def _matching_weight_check(self, pairs):
+    def _matching_weight_check(self, pairs, deg):
         """Condition on a leaf matching: d(x) = 1 whenever the arc (x, y)
         points into the leaf y.  Two-leaf components can always be labeled so
         the arc points out of the leaf."""
-        deg = {v: len(self.neighbors(v)) for v in
-               {u for arc in self.arcs for u in arc}}
         labeled = []
         for x, y in pairs:
             if deg[x] == 1 and deg[y] == 1:
@@ -301,47 +297,37 @@ class WeightedDigraph:
         condition; acyclic tournaments are always Cohen-Macaulay.  Everything
         else is out of the proven families."""
         nm = self.context.names
-
-        def as_names(pairs):
-            return tuple((nm[a], nm[b]) for a, b in pairs)
-
         if self.is_forest():
             if self.isolated_vertices():
                 bad = [nm[v] for v in self.isolated_vertices()]
                 return CmResult(CmStatus.CRITERION_INAPPLICABLE, None, None,
                                 f"forest has isolated vertices {bad}")
-            pairs = self._whisker_matching()
-            if pairs is None:
-                return CmResult(CmStatus.NOT_COHEN_MACAULAY, "forest", None,
+            rule = "forest"
+        else:
+            st = self.structure()
+            if st.tournament and st.acyclic and self.arcs:
+                return CmResult(CmStatus.COHEN_MACAULAY, "acyclic-tournament",
+                                None, f"acyclic tournament with topological "
+                                f"order {st.topological_order}")
+            rule = "whisker-matching"
+        deg = [len(nbrs) for nbrs in self._nbrs]
+        pairs = self._whisker_matching(deg)
+        if pairs is None:
+            if rule == "forest":
+                return CmResult(CmStatus.NOT_COHEN_MACAULAY, rule, None,
                                 "no perfect matching into leaf whiskers")
-            labeled, bad = self._matching_weight_check(pairs)
-            if bad is not None:
-                return CmResult(
-                    CmStatus.NOT_COHEN_MACAULAY, "forest", as_names(pairs),
-                    f"matched arc ({nm[bad[0]]}, {nm[bad[1]]}) enters a leaf "
-                    f"but d({nm[bad[0]]}) = {self.weights[bad[0]]} >= 2")
-            return CmResult(CmStatus.COHEN_MACAULAY, "forest",
-                            as_names(labeled), "leaf matching with unit "
-                            "weights on arcs into leaves")
-        st = self.structure()
-        if st.tournament and st.acyclic and self.arcs:
-            return CmResult(CmStatus.COHEN_MACAULAY, "acyclic-tournament", None,
-                            f"acyclic tournament with topological order "
-                            f"{st.topological_order}")
-        pairs = self._whisker_matching()
-        if pairs is not None:
-            labeled, bad = self._matching_weight_check(pairs)
-            if bad is not None:
-                return CmResult(
-                    CmStatus.NOT_COHEN_MACAULAY, "whisker-matching",
-                    as_names(pairs),
-                    f"matched arc ({nm[bad[0]]}, {nm[bad[1]]}) enters a leaf "
-                    f"but d({nm[bad[0]]}) = {self.weights[bad[0]]} >= 2")
-            return CmResult(CmStatus.COHEN_MACAULAY, "whisker-matching",
-                            as_names(labeled), "leaf matching with unit "
-                            "weights on arcs into leaves")
-        return CmResult(CmStatus.CRITERION_INAPPLICABLE, None, None,
-                        "no combinatorial criterion covers this digraph")
+            return CmResult(CmStatus.CRITERION_INAPPLICABLE, None, None,
+                            "no combinatorial criterion covers this digraph")
+        labeled, bad = self._matching_weight_check(pairs, deg)
+        if bad is not None:
+            x, y = nm[bad[0]], nm[bad[1]]
+            return CmResult(CmStatus.NOT_COHEN_MACAULAY, rule,
+                            tuple((nm[a], nm[b]) for a, b in pairs),
+                            f"matched arc ({x}, {y}) enters a leaf but "
+                            f"d({x}) = {self.weights[bad[0]]} >= 2")
+        return CmResult(CmStatus.COHEN_MACAULAY, rule,
+                        tuple((nm[a], nm[b]) for a, b in labeled),
+                        "leaf matching with unit weights on arcs into leaves")
 
     def weight_reduce(self) -> "WeightedDigraph":
         """Replace every weight >= 2 by 2; Cohen-Macaulayness is preserved."""

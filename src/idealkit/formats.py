@@ -137,10 +137,6 @@ def ideal_to_obj(I: MonomialIdeal):
 # ---------------------------------------------------------------------------
 # decompositions
 
-def component_to_text(comp) -> str:
-    return str(comp)
-
-
 def decomposition_to_obj(dec):
     comps = []
     for comp in dec:

@@ -18,7 +18,15 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .cones import _simis_cone, cones_equal, dual_description, is_normal, rees_cone
+from .cones import (
+    DEFAULT_LATTICE_CAP,
+    _component_cones,
+    _generated_by,
+    _simis_cone,
+    cones_equal,
+    dual_description,
+    rees_cone,
+)
 from .core import MonomialIdeal, intersect_all
 from .decomposition import (
     _associated,
@@ -152,13 +160,15 @@ def symbolic_vs_ordinary_certificate(I: MonomialIdeal) -> EqualityCertificate:
     """
     I.require_proper_nonzero("the equality certificate")
     try:
-        comps = primary_without_embedded(irreducible_decomposition(I),
-                                         "the cone criterion")
+        cones, bad = _component_cones(I, "the cone criterion", DEFAULT_LATTICE_CAP)
     except EmbeddedPrimeError:
         return EqualityCertificate.INAPPLICABLE
-    if not all(is_normal(c.ideal) for c in comps):
+    if bad is not None:
         return EqualityCertificate.INAPPLICABLE
-    simis = _simis_cone(comps, I.context.n + 1)
-    if cones_equal(simis, dual_description(rees_cone(I))) and is_normal(I):
+    simis = _simis_cone(cones, I.context.n + 1)
+    rc = rees_cone(I)
+    rees = dual_description(rc)
+    if (cones_equal(simis, rees)
+            and _generated_by(rees, rc.rays, DEFAULT_LATTICE_CAP)):
         return EqualityCertificate.EQUAL_BY_CONE_CRITERION
     return EqualityCertificate.UNEQUAL

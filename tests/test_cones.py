@@ -26,23 +26,30 @@ from idealkit import (
     integral_closure,
     is_normal,
     is_pointed,
+    primary_decomposition,
     rees_cone,
     semigroup_member,
     simis_cone,
     symbolic_power_min,
     symbolic_rees_generators,
+    symbolic_vs_ordinary_certificate,
 )
 from idealkit._linalg import dot, independent_rows
 from idealkit.cones import _parallelepiped_points
+from idealkit.formats import parse_ideal_file
 
 from oracles import (
     box_vectors,
     closure_member_by_powers,
     frac_solve,
     random_ideal,
+    random_no_embedded_ideal,
     random_pointed_cone,
+    rank_reference,
     semigroup_member_bounded,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +165,55 @@ def test_simis_cone_squarefree_matches_direct_intersection(ctx3):
 def test_simis_cone_rejects_embedded_primes(ex2_12_ideal):
     with pytest.raises(EmbeddedPrimeError):
         simis_cone(ex2_12_ideal)
+
+
+def test_simis_inequalities_are_exactly_the_facets():
+    # the kept inequalities are the components' inequalities that are tight
+    # on rays of rank d - 1, and they cut out the intersection of the
+    # components' Rees cones
+    rng = random.Random(1618)
+    ideals = [parse_ideal_file(FIXTURES / f"{name}.ideal")
+              for name in ("ex2_10", "ex2_22", "ex3_16", "fig1", "terai")]
+    ideals += [random_no_embedded_ideal(rng, n=rng.randint(3, 4))
+               for _ in range(40)]
+    for I in ideals:
+        cone = simis_cone(I)
+        d = cone.dim
+        comps = [dual_description(rees_cone(c.ideal))
+                 for c in primary_decomposition(I)]
+        facets = {h for c in comps for h in c.inequalities
+                  if rank_reference([r for r in cone.rays if dot(h, r) == 0])
+                  == d - 1}
+        assert set(cone.inequalities) == facets, I
+        for v in itertools.product(range(4), repeat=d):
+            assert cone.contains(v) == all(c.contains(v) for c in comps), (I, v)
+
+
+def test_one_conversion_per_cone(ex2_10_ideal, monkeypatch):
+    # ex2.10 has four primary components; each Rees cone costs two
+    # conversions (rays to inequalities and back), the Simis cone one
+    calls = []
+    original = idealkit.cones._cone_generators
+
+    def counted(rows, d):
+        calls.append(d)
+        return original(rows, d)
+
+    monkeypatch.setattr(idealkit.cones, "_cone_generators", counted)
+    I = ex2_10_ideal
+    jobs = {
+        "symbolic_rees_generators": lambda: symbolic_rees_generators(I),
+        "certificate": lambda: symbolic_vs_ordinary_certificate(I),
+        "simis_cone": lambda: simis_cone(I),
+        "check_symbolic_rees_normal": lambda: check_symbolic_rees_normal(I),
+    }
+    counts = {}
+    for name, job in jobs.items():
+        calls.clear()
+        job()
+        counts[name] = len(calls)
+    assert counts == {"symbolic_rees_generators": 9, "certificate": 11,
+                      "simis_cone": 9, "check_symbolic_rees_normal": 8}
 
 
 def test_cones_equal_basics(ex2_10_ideal):

@@ -323,6 +323,30 @@ def test_whisker_matching_rule_beyond_forests():
     assert not is_unmixed(D2.edge_ideal())
 
 
+def test_not_cm_results_name_the_matching_and_the_failure():
+    # the bad matched arc is reported with the matching as found, leaf second
+    forest = WeightedDigraph.of(
+        [("x1", 1), ("y1", 1), ("x2", 2), ("y2", 1)],
+        [("x1", "y1"), ("x1", "x2"), ("x2", "y2")])
+    whiskered = WeightedDigraph.of(
+        [("x1", 1), ("x2", 2), ("x3", 1), ("y1", 1), ("y2", 2), ("y3", 3)],
+        [("x1", "x2"), ("x2", "x3"), ("x1", "x3"),
+         ("y1", "x1"), ("x2", "y2"), ("x3", "y3")])
+    path = WeightedDigraph.of([("x1", 1), ("x2", 1), ("x3", 1)],
+                              [("x1", "x2"), ("x2", "x3")])
+    reason = "matched arc (x2, y2) enters a leaf but d(x2) = 2 >= 2"
+    results = [D.cm_classify() for D in (forest, whiskered, path)]
+    got = [(r.status, r.rule, r.matching, r.reason) for r in results]
+    assert got == [
+        (CmStatus.NOT_COHEN_MACAULAY, "forest",
+         (("x1", "y1"), ("x2", "y2")), reason),
+        (CmStatus.NOT_COHEN_MACAULAY, "whisker-matching",
+         (("x1", "y1"), ("x2", "y2"), ("x3", "y3")), reason),
+        (CmStatus.NOT_COHEN_MACAULAY, "forest", None,
+         "no perfect matching into leaf whiskers"),
+    ]
+
+
 def test_isolated_vertex_inapplicable():
     D = WeightedDigraph.of([("x1", 1), ("x2", 1), ("x3", 1)], [("x1", "x2")])
     res = D.cm_classify()

@@ -59,6 +59,21 @@ def test_library_does_not_import_fractions():
     assert found == []
 
 
+def test_private_functions_are_called():
+    # a private module-level function that nothing references is dead code
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.rglob("*.py"))]
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    private = [node.name for tree in trees for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")]
+    assert [name for name in private if name not in used] == []
+
 
 def _sibling_imports(node):
     """Modules of the package that the import statement ``node`` loads."""
