@@ -1,7 +1,7 @@
 """Exact rational polyhedral cone kernel.
 
 Rees cones, Simis cones, V/H conversion by the double description method,
-minimal Hilbert bases via a placing triangulation, normality certificates,
+minimal Hilbert bases via a pulling triangulation, normality certificates,
 integral closure and symbolic Rees algebra generators.  Every computation is
 exact over the integers: primitive vectors, integer Hermite elimination, no
 floats.
@@ -260,59 +260,35 @@ class HilbertBasis:
         return iter(self.elements)
 
 
-def _placing_triangulation(rays):
-    """Cover a pointed cone with simplicial subcones on its extreme rays.
+def _pulling_triangulation(rays, ineqs):
+    """Cover a pointed cone with simplicial cones on its rays, by pulling.
 
-    Incremental placing: a ray inside the current span is joined to every
-    boundary facet visible from it; a ray outside the span is joined to every
-    simplex (pyramid step).
+    Faces are sets of ray indices, walked on a stack.  A face of dimension
+    dim with dim rays is a simplex; otherwise its smallest ray, the apex,
+    is joined to a cover of each facet of the face that misses it.  Every
+    facet of a face F is F & g for the tight set g (the rays an inequality
+    vanishes on) of some valid inequality, and each F & g is a face of F, so
+    the facets are the F & g of rank dim - 1: redundant inequalities do no
+    harm, and the +-lineality rows of a lower-dimensional cone are tight on
+    every ray, so they hold the apex and are skipped.  The minimal Hilbert
+    basis is unique, so any such cover gives the same basis after
+    _reduce_generators.
     """
+    tight = [frozenset(i for i, r in enumerate(rays) if dot(h, r) == 0)
+             for h in ineqs]
     simplices = []
-    span_rows = []
-    for i, r in enumerate(rays):
-        if not simplices:
-            simplices = [(i,)]
-            span_rows = [r]
+    stack = [(tuple(range(len(rays))), rank(rays), ())]
+    while stack:
+        face, dim, apexes = stack.pop()
+        if len(face) == dim:
+            simplices.append(apexes + face)
             continue
-        if rank(span_rows + [r]) > len(span_rows):
-            simplices = [s + (i,) for s in simplices]
-            span_rows.append(r)
-            continue
-        m = len(simplices[0])
-        if m == 1:
-            raise ValueError("two dependent extreme rays: cone is not pointed")
-        facets = {}
-        for s in simplices:
-            for k in range(m):
-                f = s[:k] + s[k + 1:]
-                facets.setdefault(f, []).append(s[k])
-        new = []
-        for f, apexes in facets.items():
-            if len(apexes) != 1:
-                continue
-            h = _facet_normal([rays[j] for j in f], rays[apexes[0]], span_rows)
-            if dot(h, r) < 0:
-                new.append(tuple(sorted(f + (i,))))
-        simplices.extend(new)
+        apex = face[0]
+        facets = dict.fromkeys(tuple(i for i in face if i in g)
+                               for g in tight if apex not in g)
+        stack.extend((f, dim - 1, apexes + (apex,)) for f in facets
+                     if rank([rays[i] for i in f]) == dim - 1)
     return simplices
-
-
-def _facet_normal(facet_rays, apex_ray, span_rows):
-    """Integer normal of a simplex facet, inside the current span, oriented
-    towards the apex."""
-    m = len(span_rows)
-    # h = sum_k c_k * span_rows[k], with <h, f> = 0 for every facet ray f
-    M = [[dot(f, b) for b in span_rows] for f in facet_rays]
-    kern = kernel_lattice_basis(M) if M else [(1,) * m]
-    c = kern[0]
-    d = len(span_rows[0])
-    h = tuple(sum(c[k] * span_rows[k][j] for k in range(m)) for j in range(d))
-    s = dot(h, apex_ray)
-    if s == 0:
-        raise ValueError("degenerate simplex facet")
-    if s < 0:
-        h = tuple(-x for x in h)
-    return h
 
 
 def _parallelepiped_points(rays, budget):
@@ -403,9 +379,11 @@ def hilbert_basis(cone: RationalCone,
                   max_lattice_points: int = DEFAULT_LATTICE_CAP) -> HilbertBasis:
     """The unique minimal Hilbert basis of a pointed cone.
 
-    Triangulates over the extreme rays, enumerates the lattice points of each
-    simplicial fundamental parallelepiped, adds the primitive extreme rays
-    and reduces the union to the minimal basis.
+    Triangulates over the rays by pulling, with the faces read off the
+    inequalities the converted cone holds, enumerates the lattice points of
+    each simplicial fundamental parallelepiped, adds the primitive rays and
+    reduces the union to the minimal basis.  ``max_lattice_points`` bounds
+    the parallelepiped points summed over all simplices (their indices).
     """
     cone = dual_description(cone)
     d = cone.dim
@@ -417,7 +395,7 @@ def hilbert_basis(cone: RationalCone,
         return HilbertBasis(d, ())
     cands = set(rays)
     budget = max_lattice_points
-    for simplex in _placing_triangulation(rays):
+    for simplex in _pulling_triangulation(rays, cone.inequalities):
         pts, index = _parallelepiped_points([rays[i] for i in simplex], budget)
         budget -= index
         cands.update(p for p in pts if any(p))

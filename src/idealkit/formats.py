@@ -9,7 +9,8 @@ variables that occur (names ``x<k>`` fill in the gaps up to the largest k).
 Digraph files come in two shapes: a JSON document with ``vertices`` (id and
 weight) plus ``arcs``, or an edge-list shorthand of ``i -> j`` lines with an
 optional ``weights: i=2 j=1`` header.  Cone files are integer matrices, one
-vector per row, under ``# rays`` / ``# inequalities`` section headers.
+vector per row, under ``# rays`` / ``# inequalities`` section headers; when
+both sections are present they must describe the same cone.
 
 Parsing then rendering is a fixed point on canonical files.
 """
@@ -19,13 +20,21 @@ from __future__ import annotations
 import json
 import re
 
-from .cones import HilbertBasis, RationalCone
+from .cones import HilbertBasis, RationalCone, cones_equal
 from .core import Monomial, MonomialIdeal, PolyContext
 from .digraphs import WeightedDigraph
 from .errors import ParseError
 
 _FACTOR_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*?)(?:\^(\d+))?$")
 _XNUM_RE = re.compile(r"^x([1-9]\d*)$")
+
+
+def _read_text(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"file is not UTF-8 text: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +99,10 @@ def parse_ideal_source(text: str, context: PolyContext | None = None) -> Monomia
             names = stripped[len("# vars:"):].split()
             if not names:
                 raise ParseError("empty vars directive", lineno)
-            context = PolyContext(tuple(names))
+            try:
+                context = PolyContext(tuple(names))
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from None
             continue
         body = _strip_comment(raw)
         if body:
@@ -104,8 +116,7 @@ def parse_ideal_source(text: str, context: PolyContext | None = None) -> Monomia
 
 
 def parse_ideal_file(path, context: PolyContext | None = None) -> MonomialIdeal:
-    with open(path, encoding="utf-8") as fh:
-        return parse_ideal_source(fh.read(), context)
+    return parse_ideal_source(_read_text(path), context)
 
 
 def ideal_to_text(I: MonomialIdeal) -> str:
@@ -161,8 +172,7 @@ def parse_digraph_source(text: str) -> WeightedDigraph:
 
 
 def parse_digraph_file(path) -> WeightedDigraph:
-    with open(path, encoding="utf-8") as fh:
-        return parse_digraph_source(fh.read())
+    return parse_digraph_source(_read_text(path))
 
 
 def _parse_digraph_json(text):
@@ -170,13 +180,18 @@ def _parse_digraph_json(text):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from None
-    if not isinstance(doc, dict) or "vertices" not in doc or "arcs" not in doc:
-        raise ParseError("digraph JSON needs 'vertices' and 'arcs' keys")
+    if not isinstance(doc, dict) or not all(
+            isinstance(doc.get(key), list) for key in ("vertices", "arcs")):
+        raise ParseError("digraph JSON needs 'vertices' and 'arcs' lists")
     vertices = []
     for k, entry in enumerate(doc["vertices"]):
         if not isinstance(entry, dict) or "id" not in entry:
             raise ParseError(f"vertex #{k} needs an 'id'")
-        vertices.append((str(entry["id"]), int(entry.get("weight", 1))))
+        try:
+            weight = int(entry.get("weight", 1))
+        except (TypeError, ValueError):
+            raise ParseError(f"vertex #{k} has a non-integer weight") from None
+        vertices.append((str(entry["id"]), weight))
     arcs = []
     for k, pair in enumerate(doc["arcs"]):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
@@ -289,12 +304,15 @@ def parse_cone_source(text: str) -> RationalCone:
     rays = tuple(sections["rays"]) if sections["rays"] is not None else None
     ineqs = (tuple(sections["inequalities"])
              if sections["inequalities"] is not None else None)
+    if rays is not None and ineqs is not None and not cones_equal(
+            RationalCone(dim, rays=rays), RationalCone(dim, inequalities=ineqs)):
+        raise ParseError("the '# rays' and '# inequalities' sections describe "
+                         "different cones")
     return RationalCone(dim, rays=rays, inequalities=ineqs)
 
 
 def parse_cone_file(path) -> RationalCone:
-    with open(path, encoding="utf-8") as fh:
-        return parse_cone_source(fh.read())
+    return parse_cone_source(_read_text(path))
 
 
 def cone_to_source(cone: RationalCone) -> str:

@@ -1,11 +1,15 @@
 """Command-line behavior: golden outputs for every fixture file, exit codes,
 determinism, structured output."""
 
+import contextlib
+import io
 import json
 import os
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import idealkit.symbolic
 from idealkit.cli import main
@@ -230,3 +234,73 @@ def test_symbolic_extra_matches_divisibility_definition(capsys, variant):
             kept += len(want)
             dropped += len(power["symbolic"]) - len(want)
     assert kept and dropped
+
+
+_MALFORMED = {
+    "sections_disagree.cone": ("hilbert", "# rays\n1 0\n# inequalities\n-1 0\n"),
+    "repeated_var.ideal": ("decompose", "# vars: x x\nx\n"),
+    "weight_string.digraph": (
+        "prt", '{"vertices": [{"id": "a", "weight": "z"}], "arcs": []}'),
+    "weight_list.digraph": (
+        "prt", '{"vertices": [{"id": "a", "weight": [1]}], "arcs": []}'),
+    "vertices_int.digraph": ("prt", '{"vertices": 5, "arcs": []}'),
+    "arcs_int.digraph": ("prt", '{"vertices": [{"id": "a"}], "arcs": 7}'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED))
+def test_malformed_files_exit_1_without_traceback(capsys, tmp_path, name):
+    command, text = _MALFORMED[name]
+    path = tmp_path / name
+    path.write_text(text)
+    code, _, err = run(capsys, command, path)
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# fuzz: a few byte edits to well-formed files
+
+_FUZZ_INPUTS = [
+    (["decompose"], (FIXTURES / name).read_bytes())
+    for name in ("fig1.ideal", "ex2_10.ideal", "ex3_16.ideal")
+] + [
+    (["prt", "--max-vertices", "12"], (FIXTURES / name).read_bytes())
+    for name in ("fig1.digraph", "ex3_13.digraph")
+] + [
+    (["hilbert", "--max-lattice-points", "10000"], text)
+    for text in ((FIXTURES / "wedge.cone").read_bytes(),
+                 b"# rays\n1 0 0\n1 1 0\n0 1 2\n0 0 1\n"
+                 b"# inequalities\n1 0 0\n0 1 0\n0 0 1\n")
+]
+_EDIT_BYTES = b' \n#-*^>=:,{}[]"0123456789x\xc3\xff'
+
+
+@st.composite
+def _mutated_input(draw):
+    argv, data = draw(st.sampled_from(_FUZZ_INPUTS))
+    data = bytearray(data)
+    for _ in range(draw(st.integers(1, 3))):
+        pos = draw(st.integers(0, len(data)))
+        op = draw(st.sampled_from(("insert", "delete", "replace")))
+        byte = draw(st.sampled_from(_EDIT_BYTES))
+        if op == "insert":
+            data.insert(pos, byte)
+        elif pos < len(data) and op == "delete":
+            del data[pos]
+        elif pos < len(data):
+            data[pos] = byte
+    return argv, bytes(data)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(job=_mutated_input())
+def test_cli_survives_mutated_files(tmp_path_factory, job):
+    argv, data = job
+    path = tmp_path_factory.getbasetemp() / "fuzz.input"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + [str(path)])
+    assert code in (0, 1, 2)
+    assert code == 0 or err.getvalue().startswith("error:")

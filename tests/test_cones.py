@@ -35,7 +35,7 @@ from idealkit import (
     symbolic_vs_ordinary_certificate,
 )
 from idealkit._linalg import dot, independent_rows
-from idealkit.cones import _parallelepiped_points
+from idealkit.cones import _parallelepiped_points, _pulling_triangulation
 from idealkit.formats import parse_ideal_file
 
 from oracles import (
@@ -343,6 +343,27 @@ def test_parallelepiped_points_match_brute_force():
         assert len(pts) == len(set(pts)) == index == len(want)
         assert set(pts) == want
     assert any(t < d for t, d in seen_dims)
+
+
+def test_pulling_triangulation_covers_the_cone():
+    rng = random.Random(4242)
+    checked = 0
+    while checked < 120:
+        cone = dual_description(random_pointed_cone(rng, max_dim=4, max_entry=3))
+        d, rays = cone.dim, list(cone.rays)
+        if rank_reference(rays) < d:
+            continue
+        checked += 1
+        simplices = [[rays[i] for i in s]
+                     for s in _pulling_triangulation(rays, cone.inequalities)]
+        for s in simplices:
+            assert len(s) == d and rank_reference(s) == d
+        # columns are the simplex rays; every lattice point of the cone has
+        # nonnegative coordinates in some simplex
+        cols = [list(zip(*s)) for s in simplices]
+        for v in box_vectors([3] * d):
+            if any(v) and cone.contains(v):
+                assert any(all(c >= 0 for c in frac_solve(A, v)) for A in cols), v
 
 
 def test_lattice_point_cap_enforced(ex2_10_ideal):

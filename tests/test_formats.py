@@ -2,7 +2,14 @@
 
 import pytest
 
-from idealkit import ParseError, PolyContext, RationalCone
+from idealkit import (
+    ParseError,
+    PolyContext,
+    RationalCone,
+    dual_description,
+    rees_cone,
+    simis_cone,
+)
 from idealkit.formats import (
     canonical_digraph_source,
     canonical_ideal_source,
@@ -143,6 +150,24 @@ def test_cone_file_both_sections():
     cone = parse_cone_source(src)
     assert cone.rays == ((0, 1), (1, 0))
     assert cone.inequalities == ((0, 1), (1, 0))
+
+
+def test_cone_sections_must_describe_one_cone():
+    # nonnegative rays under orthant inequalities: a smaller cone than the
+    # inequalities cut out
+    with pytest.raises(ParseError, match="different cones"):
+        parse_cone_source("# rays\n1 0\n1 2\n# inequalities\n1 0\n0 1\n")
+    with pytest.raises(ParseError, match="different cones"):
+        parse_cone_source("# rays\n1 0 0\n0 1 0\n# inequalities\n"
+                          "1 0 0\n0 1 0\n0 0 1\n")
+    # non-extreme rays and redundant inequalities are fine
+    cone = parse_cone_source("# rays\n1 0\n1 1\n0 1\n# inequalities\n"
+                             "1 0\n0 1\n1 1\n")
+    assert cone.rays == ((0, 1), (1, 0), (1, 1))
+    # the rees and simis commands print files that parse back
+    I = parse_ideal_source("x1*x2\nx2*x3\nx1*x3\n")
+    for cone in (dual_description(rees_cone(I)), simis_cone(I)):
+        assert parse_cone_source(cone_to_source(cone)) == cone
 
 
 def test_cone_file_errors():
