@@ -12,10 +12,12 @@ reduction keeps the entries of H below their pivots.
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    """Inner product, truncated to the shorter vector as ``zip`` is."""
+    return sum(map(mul, a, b))
 
 
 def primitive(v):

@@ -3,12 +3,16 @@
 Reads ideal, digraph and cone files, dispatches to the library and emits
 deterministic text or JSON.  Exit status: 0 on success, 1 on domain errors
 (bad input, hypothesis violations), 2 when a resource cap is hit.
-The ``IDEALKIT_FORMAT`` environment variable picks the default output format.
+Without ``--format``, the ``IDEALKIT_FORMAT`` environment variable picks the
+output format; it is read on every call, and a value other than ``text`` or
+``structured`` is an error (exit 1).  The argument parser is built once per
+process, on the first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -230,6 +234,9 @@ def _cmd_polarize(args):
 
 # ---------------------------------------------------------------------------
 
+FORMATS = ("text", "structured")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="idealkit",
@@ -237,8 +244,7 @@ def build_parser():
                     "normality certificates for monomial ideals and edge "
                     "ideals of weighted oriented graphs.")
     parser.add_argument(
-        "--format", choices=("text", "structured"),
-        default=os.environ.get("IDEALKIT_FORMAT", "text"),
+        "--format", choices=FORMATS,
         help="output format (default from $IDEALKIT_FORMAT, else text)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -287,9 +293,21 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # parse_args leaves no state behind: each call gets a fresh namespace
+    # filled from the parsers' fixed defaults
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    if args.format is None:
+        args.format = os.environ.get("IDEALKIT_FORMAT") or "text"
+        if args.format not in FORMATS:
+            print(f"error: $IDEALKIT_FORMAT must be 'text' or 'structured', "
+                  f"not {args.format!r}", file=sys.stderr)
+            return 1
     if getattr(args, "k", 1) < 1 or getattr(args, "kmax", 1) < 1:
         print("error: k and kmax must be >= 1", file=sys.stderr)
         return 1

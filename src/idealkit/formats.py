@@ -7,10 +7,11 @@ comment pins the context; otherwise the context is inferred from the
 variables that occur (names ``x<k>`` fill in the gaps up to the largest k).
 
 Digraph files come in two shapes: a JSON document with ``vertices`` (id and
-weight) plus ``arcs``, or an edge-list shorthand of ``i -> j`` lines with an
-optional ``weights: i=2 j=1`` header.  Cone files are integer matrices, one
-vector per row, under ``# rays`` / ``# inequalities`` section headers; when
-both sections are present they must describe the same cone.
+an optional JSON-integer weight) plus ``arcs``, or an edge-list shorthand of
+``i -> j`` lines with an optional ``weights: i=2 j=1`` header.  Cone files are
+integer matrices, one vector per row, under ``# rays`` / ``# inequalities``
+section headers; when both sections are present they must describe the same
+cone.
 
 Parsing then rendering is a fixed point on canonical files.
 """
@@ -187,10 +188,10 @@ def _parse_digraph_json(text):
     for k, entry in enumerate(doc["vertices"]):
         if not isinstance(entry, dict) or "id" not in entry:
             raise ParseError(f"vertex #{k} needs an 'id'")
-        try:
-            weight = int(entry.get("weight", 1))
-        except (TypeError, ValueError):
-            raise ParseError(f"vertex #{k} has a non-integer weight") from None
+        weight = entry.get("weight", 1)
+        # JSON integers only: int() would read 2.7 as 2, true as 1, "3" as 3
+        if not isinstance(weight, int) or isinstance(weight, bool):
+            raise ParseError(f"vertex #{k} has a non-integer weight")
         vertices.append((str(entry["id"]), weight))
     arcs = []
     for k, pair in enumerate(doc["arcs"]):

@@ -1,16 +1,20 @@
 """Command-line behavior: golden outputs for every fixture file, exit codes,
 determinism, structured output."""
 
+import argparse
 import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import idealkit
 import idealkit.symbolic
 from idealkit.cli import main
 
@@ -181,6 +185,74 @@ def test_structured_output_and_env_default(capsys, monkeypatch):
     assert json.loads(out) == {"normal": False}
 
 
+def test_unknown_env_format_exits_1(capsys, monkeypatch):
+    monkeypatch.setenv("IDEALKIT_FORMAT", "json")
+    code, out, err = run(capsys, "decompose", FIXTURES / "ex3_16.ideal")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "'text'" in err and "'structured'" in err and "Traceback" not in err
+    # an explicit --format does not consult the variable
+    code, out, _ = run(capsys, "--format", "text", "decompose", FIXTURES / "ex3_16.ideal")
+    assert code == 0 and out
+
+
+def _fresh_process(argv):
+    """(exit code, stdout) of the CLI run in a new interpreter."""
+    env = {k: v for k, v in os.environ.items() if k != "IDEALKIT_FORMAT"}
+    src = str(Path(idealkit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "idealkit.cli", *argv],
+                          capture_output=True, text=True, env=env, check=False)
+    return proc.returncode, proc.stdout
+
+
+def _in_process(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+_EX2_10, _EX3_16 = str(FIXTURES / "ex2_10.ideal"), str(FIXTURES / "ex3_16.ideal")
+_LEAK_PAIRS = {
+    "symbolic_k": (["symbolic", "--k", "3", _EX2_10], ["symbolic", _EX2_10]),
+    "format": (["--format", "structured", "decompose", _EX3_16],
+               ["decompose", _EX3_16]),
+    "hilbert_rees": (["hilbert", "--rees", _EX3_16],
+                     ["hilbert", str(FIXTURES / "wedge.cone")]),
+    "usage_error": (["symbolic", "--k", "three", _EX2_10], ["symbolic", _EX2_10]),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(_LEAK_PAIRS))
+def test_parser_state_does_not_leak_between_calls(capsys, monkeypatch, pair):
+    monkeypatch.delenv("IDEALKIT_FORMAT", raising=False)
+    first, second = _LEAK_PAIRS[pair]
+    got = [_in_process(capsys, first), _in_process(capsys, second)]
+    assert got == [_fresh_process(first), _fresh_process(second)]
+    if pair == "usage_error":
+        assert got[0] == (2, "")
+    if pair == "symbolic_k":
+        assert "k=1" in got[1][1] and "k=2" not in got[1][1]
+
+
+def test_parser_built_at_most_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "idealkit":  # the top level, not a subparser
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(20):
+        code, _, _ = run(capsys, "hilbert", FIXTURES / "wedge.cone")
+        assert code == 0
+    assert len(built) <= 1
+
+
 def test_determinism_byte_identical(capsys):
     _, first, _ = run(capsys, "hilbert", "--simis", FIXTURES / "ex2_22.ideal")
     _, second, _ = run(capsys, "hilbert", "--simis", FIXTURES / "ex2_22.ideal")
@@ -256,6 +328,19 @@ def test_malformed_files_exit_1_without_traceback(capsys, tmp_path, name):
     code, _, err = run(capsys, command, path)
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("weight", ["2.7", "true", '"3"', "2.0", "null"])
+def test_non_integer_json_weight_exits_1(capsys, tmp_path, weight):
+    path = tmp_path / "w.digraph"
+    path.write_text('{"vertices": [{"id": "a"}, {"id": "b", "weight": %s}], '
+                    '"arcs": [["a", "b"]]}' % weight)
+    code, out, err = run(capsys, "digraph-ideal", path)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "vertex #1 has a non-integer weight" in err
+    assert "Traceback" not in err
+    path.write_text(path.read_text().replace(weight, "3"))
+    assert run(capsys, "digraph-ideal", path)[:2] == (0, "(a*b^3)\n")
 
 
 # ---------------------------------------------------------------------------

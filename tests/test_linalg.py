@@ -59,6 +59,18 @@ def _matrices(seed, count=240):
     return [_random_matrix(rng, SHAPES[i % len(SHAPES)]) for i in range(count)]
 
 
+def test_dot_matches_definition():
+    # the other tests check H, V and kernels with dot, so pin it first
+    rng = random.Random(9)
+    for bound in (50, 2 ** 70):
+        for _ in range(300):
+            a = [rng.randint(-bound, bound) for _ in range(rng.randint(0, 8))]
+            b = [rng.randint(-bound, bound) for _ in range(rng.randint(0, 8))]
+            # unequal lengths: the shorter vector decides, as zip does
+            want = sum(a[i] * b[i] for i in range(min(len(a), len(b))))
+            assert dot(a, b) == want and dot(tuple(a), b) == want, (a, b)
+
+
 def test_empty_matrix():
     assert rank([]) == 0
     assert independent_rows([]) == []
