@@ -2,7 +2,9 @@
 
 Reads ideal, digraph and cone files, dispatches to the library and emits
 deterministic text or JSON.  Exit status: 0 on success, 1 on domain errors
-(bad input, hypothesis violations), 2 when a resource cap is hit.
+(bad input, hypothesis violations), 2 when a resource cap is hit, 64
+(``EX_USAGE`` of sysexits.h) on a command-line usage error, with the usage
+message on stderr.
 Without ``--format``, the ``IDEALKIT_FORMAT`` environment variable picks the
 output format; it is read on every call, and a value other than ``text`` or
 ``structured`` is an error (exit 1).  The argument parser is built once per
@@ -237,8 +239,15 @@ def _cmd_polarize(args):
 FORMATS = ("text", "structured")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse exits 2 on usage errors; 2 is taken by resource caps
+        self.print_usage(sys.stderr)
+        self.exit(64, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="idealkit",
         description="Decompositions, symbolic powers, Hilbert bases and "
                     "normality certificates for monomial ideals and edge "

@@ -15,13 +15,21 @@ from __future__ import annotations
 import enum
 import heapq
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import MonomialIdeal, PolyContext, _minimal_vecs
 from .decomposition import Decomposition, IrreducibleIdeal
 from .errors import DigraphError, HypothesisError, ImproperIdealError, ResourceCapError
 
 DEFAULT_VERTEX_CAP = 20
+
+
+def _bits(mask):
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -48,13 +56,12 @@ class WeightedDigraph:
             if (j, i) in arcs:
                 raise DigraphError(
                     f"2-cycle between {ctx.names[i]} and {ctx.names[j]}")
-        # per-vertex adjacency, computed once; not fields, so equality and
-        # hashing still see only (context, weights, arcs)
-        outs = [set() for _ in range(ctx.n)]
-        ins = [set() for _ in range(ctx.n)]
+        # per-vertex adjacency as bit masks, computed once; not fields, so
+        # equality and hashing still see only (context, weights, arcs)
+        outs, ins = [0] * ctx.n, [0] * ctx.n
         for i, j in arcs:
-            outs[i].add(j)
-            ins[j].add(i)
+            outs[i] |= 1 << j
+            ins[j] |= 1 << i
         fixed = list(ws)
         for i in range(ctx.n):
             if outs[i] and not ins[i] and fixed[i] != 1:
@@ -64,10 +71,11 @@ class WeightedDigraph:
                 fixed[i] = 1
         object.__setattr__(self, "weights", tuple(fixed))
         object.__setattr__(self, "arcs", arcs)
-        object.__setattr__(self, "_out", tuple(frozenset(s) for s in outs))
-        object.__setattr__(self, "_in", tuple(frozenset(s) for s in ins))
-        object.__setattr__(self, "_nbrs", tuple(
-            frozenset(o | i) for o, i in zip(outs, ins)))
+        object.__setattr__(self, "_out", tuple(outs))
+        object.__setattr__(self, "_in", tuple(ins))
+        object.__setattr__(self, "_nbrs", tuple(o | i for o, i in zip(outs, ins)))
+        object.__setattr__(self, "_heavy", sum(1 << v for v, w in enumerate(fixed)
+                                               if w >= 2))
 
     @classmethod
     def of(cls, vertices, arcs):
@@ -83,26 +91,29 @@ class WeightedDigraph:
     def names(self):
         return self.context.names
 
+    def _vertex(self, v):
+        """Index of the vertex ``v``, a context name or an int in range(n)."""
+        if isinstance(v, str) and v in self.names:
+            return self.context.index(v)
+        if type(v) is int and 0 <= v < self.context.n:
+            return v
+        raise DigraphError(f"{v!r} is not a vertex of {self.names}")
+
+    def _mask(self, vertices):
+        return sum(1 << i for i in {self._vertex(v) for v in vertices})
+
     def weight(self, v):
-        if isinstance(v, str):
-            v = self.context.index(v)
-        return self.weights[v]
+        return self.weights[self._vertex(v)]
 
     def edges(self):
         """Underlying undirected edges as sorted index pairs."""
         return sorted({(min(i, j), max(i, j)) for i, j in self.arcs})
 
     def neighbors(self, v):
-        return set(self._nbrs[v])
+        return set(_bits(self._nbrs[self._vertex(v)]))
 
     def isolated_vertices(self):
         return [v for v in range(self.context.n) if not self._nbrs[v]]
-
-    def _resolve_set(self, vertices):
-        out = set()
-        for v in vertices:
-            out.add(self.context.index(v) if isinstance(v, str) else int(v))
-        return out
 
     # -- edge ideal -------------------------------------------------------
     def edge_ideal(self) -> MonomialIdeal:
@@ -117,74 +128,82 @@ class WeightedDigraph:
         return MonomialIdeal(self.context, _minimal_vecs(vecs))
 
     # -- covers -------------------------------------------------------------
+    def _covers(self, c):
+        return all((c >> i | c >> j) & 1 for i, j in self.arcs)
+
     def is_vertex_cover(self, vertices) -> bool:
-        c = self._resolve_set(vertices)
-        return all(i in c or j in c for i, j in self.arcs)
+        return self._covers(self._mask(vertices))
 
     def _partition(self, c):
-        """(L1, L2, L3) of the vertex cover c, as index sets."""
-        if not self.is_vertex_cover(c):
-            raise DigraphError(
-                f"{sorted(self.names[v] for v in c)} is not a vertex cover")
-        l1 = {x for x in c if not self._out[x] <= c}
-        l3 = {x for x in c if self._nbrs[x] <= c}
-        return l1, c - l1 - l3, l3
+        """Masks (C, L1, L2, L3) of the vertex cover c: L1 holds the in-neighbours
+        of the vertices outside C, L3 the vertices of C with none outside."""
+        l1 = reached = 0
+        for v in _bits(~c & (1 << self.context.n) - 1):
+            l1 |= self._in[v]
+            reached |= self._nbrs[v]
+        l3 = c & ~reached
+        return c, l1, c & ~(l1 | l3), l3
+
+    def _is_strong(self, c, l1, l2, l3):
+        # every L3 vertex needs an in-arc from an L2/L3 vertex of weight >= 2
+        inner = (l2 | l3) & self._heavy
+        return all(self._in[x] & inner for x in _bits(l3))
+
+    def _cover_parts(self, vertices):
+        """Partition masks of ``vertices``; DigraphError unless a cover."""
+        c = self._mask(vertices)
+        if not self._covers(c):
+            raise DigraphError(f"{list(self._names_of(c))} is not a vertex cover")
+        return self._partition(c)
+
+    def _names_of(self, mask):
+        return tuple(self.names[v] for v in _bits(mask))
 
     def cover_partition(self, vertices) -> "CoverPartition":
-        c = self._resolve_set(vertices)
-        l1, l2, l3 = self._partition(c)
-        nm = self.context.names
-        srt = lambda s: tuple(nm[v] for v in sorted(s))
-        return CoverPartition(srt(c), srt(l1), srt(l2), srt(l3),
-                              tuple(nm[v] for v in range(self.context.n)))
+        return CoverPartition(*map(self._names_of, self._cover_parts(vertices)))
 
     def is_strong_cover(self, vertices) -> bool:
-        """Minimal covers are strong; otherwise every L3 vertex needs an
-        in-arc from an L2/L3 vertex of weight at least 2."""
-        _, l2, l3 = self._partition(self._resolve_set(vertices))
-        inner = l2 | l3
-        return all(any(i in inner and self.weights[i] >= 2 for i in self._in[x])
-                   for x in l3)
+        return self._is_strong(*self._cover_parts(vertices))
 
-    def strong_covers(self, max_vertices: int = DEFAULT_VERTEX_CAP):
-        """All strong vertex covers, as partitions, in canonical order.
-
-        Isolated vertices are skipped: they would sit in L3 with no in-arc,
-        so no strong cover contains them.  Vertex covers are enumerated by
-        branching over the active vertices in ascending order: a vertex may
-        be left out only when all of its earlier neighbours are in, so every
-        leaf of the branching is exactly one vertex cover and no other
-        subset is visited.  Strength is decided by ``is_strong_cover``; the
-        strong covers come out by size, then in vertex order (the order of
-        ``itertools.combinations``).  The cap counts active vertices."""
-        isolated = set(self.isolated_vertices())
-        active = [v for v in range(self.context.n) if v not in isolated]
+    def _strong_covers(self, max_vertices):
+        """Partition masks of the strong covers, in ``strong_covers`` order."""
+        active = [v for v in range(self.context.n) if self._nbrs[v]]
         if len(active) > max_vertices:
             raise ResourceCapError(
                 f"{len(active)} vertices exceed the enumeration cap "
                 f"{max_vertices}")
         # earlier[v]: bit mask of the neighbours of v with a smaller index
-        earlier = [0] * self.context.n
-        for i, j in self.arcs:
-            lo, hi = min(i, j), max(i, j)
-            earlier[hi] |= 1 << lo
-        covers = []
+        earlier = [nb & ((1 << v) - 1) for v, nb in enumerate(self._nbrs)]
+        out = []
         stack = [(0, 0)]  # (number of active vertices decided, mask chosen)
         while stack:
             depth, mask = stack.pop()
             if depth == len(active):
-                covers.append(tuple(v for v in active if mask >> v & 1))
+                parts = self._partition(mask)
+                if self._is_strong(*parts):
+                    out.append(parts)
                 continue
             v = active[depth]
-            stack.append((depth + 1, mask | 1 << v))
             if earlier[v] & ~mask == 0:
                 stack.append((depth + 1, mask))
-        covers.sort(key=lambda c: (len(c), c))
-        out = []
-        for c in covers:
-            if self.is_strong_cover(c):
-                out.append(self.cover_partition(c))
+            stack.append((depth + 1, mask | 1 << v))
+        out.sort(key=lambda parts: parts[0].bit_count())
         return out
+
+    def strong_covers(self, max_vertices: int = DEFAULT_VERTEX_CAP):
+        """All strong vertex covers, as partitions, in canonical order.
+
+        Isolated vertices are skipped: they would sit in L3 with no in-arc,
+        so no strong cover contains them.  Vertex covers are enumerated on
+        bit masks by branching over the active vertices in ascending order:
+        a vertex may be left out only when all of its earlier neighbours are
+        in, so every leaf is exactly one vertex cover, partitioned once and
+        kept if strong.  Taking a vertex is explored before leaving it out,
+        so a stable sort by size lists the covers by size, then in vertex
+        order (the order of ``itertools.combinations``).  The cap counts
+        active vertices."""
+        return [CoverPartition(*map(self._names_of, parts))
+                for parts in self._strong_covers(max_vertices)]
 
     def prt_decomposition(self, max_vertices: int = DEFAULT_VERTEX_CAP) -> Decomposition:
         """Irreducible decomposition of the edge ideal, one component per
@@ -194,20 +213,17 @@ class WeightedDigraph:
             raise ImproperIdealError(
                 "the digraph has no arcs, so its edge ideal is zero and has "
                 "no decomposition")
-        comps = []
-        for part in self.strong_covers(max_vertices):
-            powers = [(self.context.index(x), 1) for x in part.L1]
-            powers += [(self.context.index(x), self.weight(x))
-                       for x in part.L2 + part.L3]
-            comps.append(IrreducibleIdeal(self.context, tuple(powers)))
-        return Decomposition(tuple(comps))
+        return Decomposition(tuple(
+            IrreducibleIdeal(self.context, tuple(
+                (v, 1 if l1 >> v & 1 else self.weights[v]) for v in _bits(c)))
+            for c, l1, _, _ in self._strong_covers(max_vertices)))
 
     # -- structural predicates ---------------------------------------------
     def structure(self) -> "DigraphStructure":
         n = self.context.n
         order = self._topological_order()
         # i -> j -> k forces i -> k; k == i cannot occur without a 2-cycle
-        transitive = all(self._out[j] <= self._out[i] for i, j in self.arcs)
+        transitive = all(self._out[j] & ~self._out[i] == 0 for i, j in self.arcs)
         tournament = len(self.edges()) == n * (n - 1) // 2
         topo = None
         if order is not None:
@@ -217,13 +233,13 @@ class WeightedDigraph:
     def _topological_order(self):
         """Kahn's order, smallest ready vertex first; None on a cycle."""
         n = self.context.n
-        indeg = [len(s) for s in self._in]
+        indeg = [m.bit_count() for m in self._in]
         ready = [v for v in range(n) if indeg[v] == 0]
         order = []
         while ready:
             v = heapq.heappop(ready)
             order.append(v)
-            for j in self._out[v]:
+            for j in _bits(self._out[v]):
                 indeg[j] -= 1
                 if indeg[j] == 0:
                     heapq.heappush(ready, j)
@@ -260,7 +276,7 @@ class WeightedDigraph:
         for leaf in (v for v, k in enumerate(deg) if k == 1):
             if leaf in matched:
                 continue
-            nb = next(iter(self._nbrs[leaf]))
+            nb = self._nbrs[leaf].bit_length() - 1
             if nb in matched:
                 return None
             matched[leaf] = nb
@@ -310,7 +326,7 @@ class WeightedDigraph:
                                 None, f"acyclic tournament with topological "
                                 f"order {st.topological_order}")
             rule = "whisker-matching"
-        deg = [len(nbrs) for nbrs in self._nbrs]
+        deg = [nbrs.bit_count() for nbrs in self._nbrs]
         pairs = self._whisker_matching(deg)
         if pairs is None:
             if rule == "forest":
@@ -349,14 +365,9 @@ class CoverPartition:
     L1: tuple[str, ...]
     L2: tuple[str, ...]
     L3: tuple[str, ...]
-    _order: tuple[str, ...] = field(default=(), compare=False, repr=False)
 
     def is_minimal(self):
         return not self.L3
-
-    def sort_key(self):
-        order = self._order or tuple(sorted(self.cover))
-        return (len(self.cover), tuple(order.index(v) for v in self.cover))
 
     def __str__(self):
         fmt = lambda s: "{" + ", ".join(s) + "}"

@@ -12,6 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from idealkit import (
+    CoverPartition,
     DigraphStructure,
     Monomial,
     MonomialIdeal,
@@ -352,14 +353,37 @@ def splitting_decomposition_reference(I: MonomialIdeal):
     return prune_reference(split(minimalize_reference(I.exponents)))
 
 
+def cover_partition_reference(D, subset):
+    """(L1, L2, L3, strong) of the vertex indices ``subset``, or None when
+    they are no vertex cover, from ``D.arcs`` and ``D.weights`` alone.
+
+    The definitions of Pitones, Reyes and Toledo on plain sets: for a cover
+    C, L1 holds the x in C with an out-neighbour outside C, L3 the x in C
+    whose neighbours all lie in C, and L2 the rest of C.  C is strong when
+    every x in L3 has an arc (y, x) with y in L2 or L3 and weight(y) >= 2.
+    L1, L2 and L3 come back as sorted index tuples."""
+    C = set(subset)
+    if any(i not in C and j not in C for i, j in D.arcs):
+        return None
+    L1 = {x for x in C if any(i == x and j not in C for i, j in D.arcs)}
+    L3 = {x for x in C if all(i in C and j in C for i, j in D.arcs if x in (i, j))}
+    L2 = C - L1 - L3
+    strong = all(any((y, x) in D.arcs and D.weights[y] >= 2 for y in L2 | L3)
+                 for x in L3)
+    return tuple(sorted(L1)), tuple(sorted(L2)), tuple(sorted(L3)), strong
+
+
 def strong_covers_by_subsets(D):
     """Strong vertex covers of D as partitions, by testing every vertex
-    subset, by size and then in ``itertools.combinations`` order."""
+    subset with ``cover_partition_reference``, by size and then in
+    ``itertools.combinations`` order."""
+    names = lambda s: tuple(D.names[v] for v in s)
     out = []
     for size in range(D.context.n + 1):
         for combo in itertools.combinations(range(D.context.n), size):
-            if D.is_vertex_cover(combo) and D.is_strong_cover(combo):
-                out.append(D.cover_partition(combo))
+            ref = cover_partition_reference(D, combo)
+            if ref is not None and ref[3]:
+                out.append(CoverPartition(names(combo), *map(names, ref[:3])))
     return out
 
 

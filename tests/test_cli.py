@@ -232,9 +232,27 @@ def test_parser_state_does_not_leak_between_calls(capsys, monkeypatch, pair):
     got = [_in_process(capsys, first), _in_process(capsys, second)]
     assert got == [_fresh_process(first), _fresh_process(second)]
     if pair == "usage_error":
-        assert got[0] == (2, "")
+        assert got[0] == (64, "")
     if pair == "symbolic_k":
         assert "k=1" in got[1][1] and "k=2" not in got[1][1]
+
+
+@pytest.mark.parametrize("argv", [["symbolic", "--k", "three", _EX2_10],
+                                  ["decompose", "--bogus", _EX3_16], []],
+                         ids=["bad_value", "unknown_flag", "no_command"])
+def test_usage_errors_exit_64(capsys, argv):
+    # 64 is EX_USAGE of sysexits.h; 2 stays reserved for resource caps
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 64 and out.out == ""
+    assert out.err.startswith("usage: idealkit") and "error:" in out.err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["covers", "--help"])
+    assert exc.value.code == 0 and "--max-vertices" in capsys.readouterr().out
 
 
 def test_parser_built_at_most_once(capsys, monkeypatch):

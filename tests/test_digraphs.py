@@ -1,11 +1,13 @@
 """Weighted oriented graphs: covers, decomposition, classification."""
 
+import itertools
 import random
 
 import pytest
 
 from idealkit import (
     CmStatus,
+    CoverPartition,
     DigraphError,
     HypothesisError,
     PolyContext,
@@ -20,6 +22,7 @@ from idealkit import (
 )
 
 from oracles import (
+    cover_partition_reference,
     random_forest_digraph,
     random_oriented_digraph,
     random_transitive_digraph,
@@ -112,6 +115,31 @@ def test_not_a_cover_rejected(fig1_digraph):
         fig1_digraph.cover_partition({"x1", "x2"})
 
 
+def _path_abc():
+    return WeightedDigraph.of([("a", 1), ("b", 2), ("c", 1)],
+                              [("a", "b"), ("b", "c")])
+
+
+def test_cover_partition_by_index_and_by_name():
+    D = _path_abc()
+    want = CoverPartition(("b", "c"), (), ("b",), ("c",))
+    assert D.cover_partition({1, 2}) == D.cover_partition({"b", "c"}) == want
+    assert D.weight(1) == D.weight("b") == 2
+    assert D.neighbors("b") == D.neighbors(1) == {0, 2}
+
+
+@pytest.mark.parametrize("bad", [-1, 3, 7, 1.5, "zz", True, None], ids=repr)
+@pytest.mark.parametrize("method", ["weight", "neighbors", "is_vertex_cover",
+                                    "cover_partition", "is_strong_cover"])
+def test_vertex_arguments_are_validated(method, bad):
+    # only context names and ints in range(n) name a vertex: no wrap-around
+    # of negative indices, no truncation of floats, no bare KeyError
+    D = _path_abc()
+    arg = bad if method in ("weight", "neighbors") else [1, bad]
+    with pytest.raises(DigraphError, match="is not a vertex"):
+        getattr(D, method)(arg)
+
+
 # ---------------------------------------------------------------------------
 # strong covers
 
@@ -167,6 +195,36 @@ def test_strong_covers_match_subset_enumeration():
         isolated_seen += bool(D.isolated_vertices())
         assert D.strong_covers() == strong_covers_by_subsets(D)
     assert isolated_seen >= 50
+
+
+def test_cover_rules_match_reference():
+    rng = random.Random(5309)
+    makers = (random_oriented_digraph, random_forest_digraph,
+              random_transitive_digraph)
+    names = lambda D, s: tuple(D.names[v] for v in s)
+    seen = {"not a cover": 0, "strong with L3": 0, "not strong": 0}
+    for t in range(90):
+        D = makers[t % 3](rng, max_vertices=6)
+        n = D.context.n
+        for combo in itertools.chain.from_iterable(
+                itertools.combinations(range(n), k) for k in range(n + 1)):
+            arg = names(D, combo) if t % 2 else combo
+            ref = cover_partition_reference(D, combo)
+            assert D.is_vertex_cover(arg) == (ref is not None)
+            if ref is None:
+                seen["not a cover"] += 1
+                with pytest.raises(DigraphError):
+                    D.cover_partition(arg)
+                with pytest.raises(DigraphError):
+                    D.is_strong_cover(arg)
+                continue
+            l1, l2, l3, strong = ref
+            assert D.cover_partition(arg) == CoverPartition(
+                names(D, combo), names(D, l1), names(D, l2), names(D, l3))
+            assert D.is_strong_cover(arg) == strong
+            seen["strong with L3"] += strong and bool(l3)
+            seen["not strong"] += not strong
+    assert min(seen.values()) >= 20, seen
 
 
 def test_prt_rejects_arcless_digraph():

@@ -59,8 +59,19 @@ def test_library_does_not_import_fractions():
     assert found == []
 
 
+def _private_defs(tree):
+    """Private module-level functions and private (non-dunder) methods."""
+    for node in tree.body:
+        defs = node.body if isinstance(node, ast.ClassDef) else [node]
+        for d in defs:
+            if not isinstance(d, ast.FunctionDef) or not d.name.startswith("_"):
+                continue
+            if not (d.name.startswith("__") and d.name.endswith("__")):
+                yield d.name
+
+
 def test_private_functions_are_called():
-    # a private module-level function that nothing references is dead code
+    # a private function or method that nothing references is dead code
     trees = [ast.parse(path.read_text(), filename=str(path))
              for path in sorted(SRC.rglob("*.py"))]
     used = set()
@@ -70,8 +81,7 @@ def test_private_functions_are_called():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    private = [node.name for tree in trees for node in tree.body
-               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")]
+    private = [name for tree in trees for name in _private_defs(tree)]
     assert [name for name in private if name not in used] == []
 
 
