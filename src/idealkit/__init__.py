@@ -35,11 +35,8 @@ from .decomposition import (
 from .symbolic import (
     EqualityCertificate,
     NtfReport,
-    Route,
-    SymbolicPowerResult,
     Variant,
     ntf_probe,
-    symbolic_power,
     symbolic_power_ass,
     symbolic_power_min,
     symbolic_powers,
@@ -57,7 +54,6 @@ from .cones import (
     is_normal,
     is_pointed,
     rees_cone,
-    semigroup_member,
     simis_cone,
     symbolic_rees_generators,
 )
@@ -82,7 +78,6 @@ from .errors import (
     NonPointedConeError,
     ParseError,
     ResourceCapError,
-    RouteMismatchError,
 )
 
 __version__ = "0.1.0"

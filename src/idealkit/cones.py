@@ -332,34 +332,6 @@ def _parallelepiped_points(rays, budget):
     return points, index
 
 
-def semigroup_member(v, elements, inequalities):
-    """Is v a nonnegative integer combination of ``elements``?
-
-    All elements must lie in the pointed cone cut out by ``inequalities``;
-    residuals leaving the cone are pruned, which is sound because any partial
-    remainder of a valid combination stays inside the cone.  The search runs
-    on an explicit stack, so a long chain of residuals cannot overflow the
-    call stack.
-    """
-    v = tuple(v)
-    zero = (0,) * len(v)
-    if v == zero:
-        return True
-    elems = [tuple(e) for e in elements if any(e)]
-    seen = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for e in elems:
-            w = tuple(a - b for a, b in zip(u, e))
-            if w == zero:
-                return True
-            if w not in seen and all(dot(h, w) >= 0 for h in inequalities):
-                seen.add(w)
-                stack.append(w)
-    return False
-
-
 def _reduce_generators(cands, ineqs):
     """Unique minimal Hilbert basis from a generating candidate set.
 

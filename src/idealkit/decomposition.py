@@ -69,11 +69,6 @@ class IrreducibleIdeal:
         vecs = [tuple(e if j == i else 0 for j in range(n)) for i, e in self.powers]
         return MonomialIdeal(self.context, _minimal_vecs(vecs))
 
-    def contains_component(self, other):
-        """Ideal containment other <= self, specialised to irreducibles."""
-        mine = dict(self.powers)
-        return all(i in mine and mine[i] <= e for i, e in other.powers)
-
     def sort_key(self):
         return (self.variables, tuple(e for _, e in self.powers))
 

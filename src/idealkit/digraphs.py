@@ -406,18 +406,24 @@ def depth_reduction_step(I: MonomialIdeal, var) -> MonomialIdeal:
     With q the top x_i-degree and p the next one, depth is preserved whenever
     p >= 1 and q - p >= 2; outside that range the step is refused."""
     I.require_proper_nonzero("the depth reduction step")
-    i = I.context.index(var) if isinstance(var, str) else int(var)
+    ctx = I.context
+    if isinstance(var, str) and var in ctx.names:
+        i = ctx.index(var)
+    elif type(var) is int and 0 <= var < ctx.n:
+        i = var
+    else:
+        raise ValueError(f"{var!r} is not a variable of {ctx.names}")
     q = max(v[i] for v in I.exponents)
     lower = [v[i] for v in I.exponents if v[i] < q]
     p = max(lower) if lower else 0
     if p < 1 or q - p < 2:
         raise HypothesisError(
-            f"depth reduction at {I.context.names[i]} needs p >= 1 and "
+            f"depth reduction at {ctx.names[i]} needs p >= 1 and "
             f"q - p >= 2, got p={p}, q={q}")
     vecs = [tuple(e - 1 if j == i else e for j, e in enumerate(v))
             if v[i] == q else v
             for v in I.exponents]
-    return MonomialIdeal(I.context, _minimal_vecs(vecs))
+    return MonomialIdeal(ctx, _minimal_vecs(vecs))
 
 
 def polarize(I: MonomialIdeal):

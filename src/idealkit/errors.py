@@ -37,10 +37,6 @@ class ResourceCapError(IdealKitError):
     """A configured resource cap (vertex count, lattice point count) was exceeded."""
 
 
-class RouteMismatchError(IdealKitError):
-    """Two routes that must compute the same ideal returned different ones."""
-
-
 class ParseError(IdealKitError):
     """Malformed input text.  Carries a line number (1-based) when known."""
 

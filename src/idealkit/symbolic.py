@@ -1,12 +1,10 @@
 """Symbolic powers of monomial ideals by both definitions.
 
 ``symbolic_powers`` computes every requested power from one decomposition of
-I and one chain of products.  Two routes give the minimal-primes symbolic
-power I^(k): localizing I^k at each minimal prime and intersecting, or
-powering the primary components (valid when I has no embedded primes).  The
-default AUTO route takes the primary powers and cross-checks them against
-the localization route when I has no embedded primes; a disagreement raises
-RouteMismatchError.  With embedded primes, AUTO localizes only.
+I and one chain of products, and the ideal decides the path.  When I has no
+embedded primes, its minimal-primes symbolic power I^(k) is the intersection
+of the k-th powers of its primary components (Cooper, Embree, Ha, Hoefel).
+Otherwise I^(k) is I^k localized at each minimal prime and intersected.
 
 The variant over the full set of associated primes, I^<k>, is computed by
 localization alone, at the inclusion-maximal associated primes; using all
@@ -35,13 +33,7 @@ from .decomposition import (
     localize,
     primary_without_embedded,
 )
-from .errors import EmbeddedPrimeError, RouteMismatchError
-
-
-class Route(str, enum.Enum):
-    LOCALIZATION = "localization"
-    PRIMARY_POWERS = "primary-powers"
-    AUTO = "auto"
+from .errors import EmbeddedPrimeError
 
 
 class Variant(str, enum.Enum):
@@ -49,28 +41,19 @@ class Variant(str, enum.Enum):
     ALL_ASS_PRIMES = "all-ass-primes"
 
 
-@dataclass(frozen=True)
-class SymbolicPowerResult:
-    ideal: MonomialIdeal
-    k: int
-    route: Route
-    variant: Variant
-
-
-def symbolic_powers(I: MonomialIdeal, ks, variant=Variant.MIN_PRIMES,
-                    route=Route.AUTO):
+def symbolic_powers(I: MonomialIdeal, ks, variant=Variant.MIN_PRIMES):
     """Yield (k, I^k, symbolic power) for each k in ``ks``, in ascending order.
 
-    I is decomposed once.  I^k and, on the primary-powers route, the power
-    of each primary component grow as single chains of products up to
-    max(ks); intersections happen only at the requested k.  ``route`` picks
-    how I^(k) is computed; I^<k> always localizes.
+    I is decomposed once.  I^(k) of an ideal without embedded primes is the
+    intersection of its primary components' k-th powers; every other case
+    localizes I^k.  I^k and the component powers grow as single chains of
+    products up to max(ks); intersections happen only at the requested k.
     """
     I.require_proper_nonzero("symbolic powers")
     ks = set(ks)
     if min(ks, default=0) < 1:
         raise ValueError("symbolic powers need k >= 1")
-    variant, route = Variant(variant), Route(route)
+    variant = Variant(variant)
     dec = irreducible_decomposition(I)
     primes = _associated(dec)
     comps = None
@@ -79,44 +62,25 @@ def symbolic_powers(I: MonomialIdeal, ks, variant=Variant.MIN_PRIMES,
                  if not any(q is not p and p.issubset(q) for q in primes)]
     else:
         local = _inclusion_minimal(primes)
-        if route is not Route.LOCALIZATION:
-            try:
-                comps = [c.ideal for c in primary_without_embedded(
-                    dec, "the primary-powers route")]
-            except EmbeddedPrimeError:
-                if route is Route.PRIMARY_POWERS:
-                    raise
+        try:
+            comps = [c.ideal for c in primary_without_embedded(
+                dec, "the primary-power chain")]
+        except EmbeddedPrimeError:
+            pass
     Ik, powers = I, comps
     for k in range(1, max(ks) + 1):
         if k > 1:
             Ik = Ik * I
             if comps:
                 powers = [q * c for q, c in zip(powers, comps)]
-        if k not in ks:
-            continue
-        sym = intersect_all(powers) if comps else None
-        if sym is None or route is Route.AUTO:
-            slow = intersect_all([localize(Ik, p) for p in local])
-            if sym is not None and sym != slow:
-                raise RouteMismatchError(
-                    f"symbolic power routes disagree for {I} at k={k}: "
-                    f"{sym} vs {slow}")
-            sym = slow
-        yield k, Ik, sym
+        if k in ks:
+            yield k, Ik, intersect_all(
+                powers if comps else [localize(Ik, p) for p in local])
 
 
-def symbolic_power_min(I: MonomialIdeal, k: int, route=Route.AUTO) -> MonomialIdeal:
+def symbolic_power_min(I: MonomialIdeal, k: int) -> MonomialIdeal:
     """I^(k): the symbolic power over the minimal primes of I."""
-    return next(symbolic_powers(I, [k], route=route))[2]
-
-
-def symbolic_power(I: MonomialIdeal, k: int, variant=Variant.MIN_PRIMES,
-                   route=Route.AUTO) -> SymbolicPowerResult:
-    """Symbolic power with its provenance (variant and route) attached."""
-    variant = Variant(variant)
-    route = Route.LOCALIZATION if variant is Variant.ALL_ASS_PRIMES else Route(route)
-    ideal = next(symbolic_powers(I, [k], variant, route))[2]
-    return SymbolicPowerResult(ideal, k, route, variant)
+    return next(symbolic_powers(I, [k]))[2]
 
 
 def symbolic_power_ass(I: MonomialIdeal, k: int) -> MonomialIdeal:

@@ -16,8 +16,10 @@ from idealkit import (
     DigraphStructure,
     Monomial,
     MonomialIdeal,
+    MonomialPrime,
     PolyContext,
     WeightedDigraph,
+    intersect_all,
 )
 from idealkit._linalg import dot
 
@@ -57,6 +59,28 @@ def saturation_localize(I: MonomialIdeal, p) -> MonomialIdeal:
         if nxt == prev:
             return nxt
         prev = nxt
+
+
+def minimal_primes_reference(I: MonomialIdeal):
+    """Minimal primes by brute force: the inclusion-minimal variable sets that
+    meet the support of every generator."""
+    n = I.context.n
+    supports = [{i for i, e in enumerate(v) if e} for v in I.exponents]
+    found = []
+    for size in range(1, n + 1):
+        for combo in itertools.combinations(range(n), size):
+            c = set(combo)
+            if all(s & c for s in supports) and not any(f <= c for f in found):
+                found.append(c)
+    return [MonomialPrime(I.context, tuple(c)) for c in found]
+
+
+def symbolic_power_reference(I: MonomialIdeal, k) -> MonomialIdeal:
+    """I^(k) by localization: I^k saturated at each minimal prime and
+    intersected."""
+    Ik = I ** k
+    return intersect_all([saturation_localize(Ik, p)
+                          for p in minimal_primes_reference(I)])
 
 
 def closure_member_by_powers(I: MonomialIdeal, vec, kmax=6):

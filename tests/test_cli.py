@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import idealkit
-import idealkit.symbolic
 from idealkit.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -293,14 +292,6 @@ def test_exit_code_resource_cap(capsys):
     code, _, err = run(capsys, "hilbert", "--simis",
                        "--max-lattice-points", "1", FIXTURES / "ex2_22.ideal")
     assert code == 2 and "budget" in err
-
-
-def test_route_disagreement_exits_1_without_traceback(capsys, monkeypatch):
-    monkeypatch.setattr(idealkit.symbolic, "localize", lambda I, p: I)
-    code, out, err = run(capsys, "symbolic", "--k", "2", FIXTURES / "ex2_10.ideal")
-    assert code == 1
-    assert err.startswith("error:") and "routes disagree" in err
-    assert "Traceback" not in err
 
 
 def test_k_validation(capsys):

@@ -28,7 +28,6 @@ from idealkit import (
     is_pointed,
     primary_decomposition,
     rees_cone,
-    semigroup_member,
     simis_cone,
     symbolic_power_min,
     symbolic_rees_generators,
@@ -291,22 +290,6 @@ def test_hilbert_basis_minimality_and_generation():
         for v in box_vectors([4] * dim):
             if cone.contains(v):
                 assert semigroup_member_bounded(v, elems, ineqs) or not any(v)
-
-
-def test_semigroup_member_agrees_with_oracle():
-    rng = random.Random(31)
-    for _ in range(10):
-        cone = dual_description(random_pointed_cone(rng, max_dim=3, max_entry=3))
-        elems = list(hilbert_basis(cone))
-        for v in box_vectors([3] * cone.dim):
-            lib = semigroup_member(v, elems, cone.inequalities)
-            oracle = not any(v) or semigroup_member_bounded(v, elems,
-                                                            cone.inequalities)
-            assert lib == oracle
-
-
-def test_semigroup_member_deep_chain_needs_no_recursion():
-    assert semigroup_member((5000, 1), [(1, 0), (0, 1)], [(1, 0), (0, 1)])
 
 
 def _parallelepiped_brute_force(rays):

@@ -458,6 +458,17 @@ def test_depth_reduction_examples(ctx3):
         depth_reduction_step(ctx3.ideal("x1^2*x2", "x1*x3"), "x1")  # q - p = 1
 
 
+@pytest.mark.parametrize("var", [-1, 2, 1.7, True, "zz"])
+def test_depth_reduction_rejects_non_variables(var):
+    ctx = PolyContext.default(2)
+    I = ctx.ideal("x1^3", "x1*x2", "x2^5")
+    with pytest.raises(ValueError, match="not a variable"):
+        depth_reduction_step(I, var)
+    want = ctx.ideal("x2^4", "x1*x2", "x1^3")
+    assert depth_reduction_step(I, "x2") == want
+    assert depth_reduction_step(I, 1) == want
+
+
 def test_iterated_depth_reduction_reproduces_weight_reduce():
     D = WeightedDigraph.of([("x1", 1), ("x2", 5), ("x3", 1)],
                            [("x1", "x2"), ("x2", "x3")])

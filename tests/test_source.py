@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import idealkit
+from idealkit import errors
 
 SRC = Path(idealkit.__file__).parent
 
@@ -119,3 +120,21 @@ def test_function_level_imports_only_break_cycles():
                           for target in _sibling_imports(node)
                           if name not in top.get(target, ())]
     assert found == []
+
+
+def test_every_error_type_is_raised():
+    # an IdealKitError subclass that no library module raises is dead code
+    raised = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised |= {n.id for n in ast.walk(node.exc)
+                           if isinstance(n, ast.Name)}
+                raised |= {n.attr for n in ast.walk(node.exc)
+                           if isinstance(n, ast.Attribute)}
+    types = [name for name, obj in vars(errors).items()
+             if isinstance(obj, type) and issubclass(obj, errors.IdealKitError)
+             and obj is not errors.IdealKitError]
+    assert types
+    assert [name for name in types if name not in raised] == []

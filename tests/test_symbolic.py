@@ -1,4 +1,4 @@
-"""Symbolic powers: worked values, route agreement, containment chain."""
+"""Symbolic powers: worked values, localization reference, containment chain."""
 
 import random
 import sys
@@ -7,16 +7,11 @@ from pathlib import Path
 import pytest
 
 import idealkit.decomposition
-import idealkit.symbolic
 from idealkit import (
-    EmbeddedPrimeError,
     EqualityCertificate,
-    IdealKitError,
     ImproperIdealError,
     MonomialIdeal,
     PolyContext,
-    Route,
-    RouteMismatchError,
     Variant,
     associated_primes,
     has_embedded_primes,
@@ -33,7 +28,12 @@ from idealkit import (
 from idealkit.cli import main
 from idealkit.formats import parse_ideal_file
 
-from oracles import random_ideal, random_no_embedded_ideal, saturation_localize
+from oracles import (
+    random_ideal,
+    random_no_embedded_ideal,
+    saturation_localize,
+    symbolic_power_reference,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -66,9 +66,8 @@ def test_routes_and_variants_on_randoms():
     while checked < 25:
         I = random_no_embedded_ideal(rng)
         for k in (1, 2, 3):
-            a = symbolic_power_min(I, k, route="localization")
-            b = symbolic_power_min(I, k, route="primary-powers")
-            assert a == b
+            a = symbolic_power_min(I, k)
+            assert a == symbolic_power_reference(I, k)
             assert symbolic_power_ass(I, k) == a
         checked += 1
 
@@ -108,11 +107,6 @@ def test_ass_variant_strictly_smaller_for_example(ex2_12_ideal):
     assert high.contains_ideal(low) and high != low
 
 
-def test_primary_powers_route_requires_no_embedded(ex2_12_ideal):
-    with pytest.raises(EmbeddedPrimeError):
-        symbolic_power_min(ex2_12_ideal, 1, route="primary-powers")
-
-
 def test_ntf_probe(ctx3, ex2_10_ideal):
     ctx2 = PolyContext.default(2)
     report = ntf_probe(ctx2.ideal("x1^2", "x2^2"), 4)
@@ -145,15 +139,6 @@ def test_certificate_matches_probe_when_certified(ctx3):
     assert ntf_probe(I, 4).all_equal()
 
 
-def test_symbolic_power_wrapper_carries_provenance(ex2_12_ideal):
-    from idealkit import symbolic_power
-    r = symbolic_power(ex2_12_ideal, 1, variant="all-ass-primes")
-    assert r.ideal == ex2_12_ideal and r.k == 1
-    assert r.variant.value == "all-ass-primes"
-    r2 = symbolic_power(ex2_12_ideal, 1)
-    assert r2.ideal == symbolic_power_min(ex2_12_ideal, 1)
-
-
 def test_error_paths(ctx3):
     unit = ctx3.ideal("1")
     zero = MonomialIdeal(ctx3, ())
@@ -164,14 +149,6 @@ def test_error_paths(ctx3):
             symbolic_power_ass(bad, 1)
     with pytest.raises(ValueError):
         symbolic_power_min(ctx3.ideal("x1*x2"), 0)
-
-
-def test_route_disagreement_raises_library_error(ex2_10_ideal, monkeypatch):
-    # a broken localization makes the cross-checked routes disagree
-    monkeypatch.setattr(idealkit.symbolic, "localize", lambda I, p: I)
-    with pytest.raises(RouteMismatchError, match="routes disagree") as exc:
-        symbolic_power_min(ex2_10_ideal, 2)
-    assert isinstance(exc.value, IdealKitError)
 
 
 def test_symbolic_powers_matches_saturation_oracle():
@@ -185,8 +162,7 @@ def test_symbolic_powers_matches_saturation_oracle():
     embedded = 0
     for label, I in cases:
         primes = associated_primes(I)
-        has_emb = has_embedded_primes(I)
-        embedded += has_emb
+        embedded += has_embedded_primes(I)
         maximal = [p for p in primes
                    if not any(q != p and p.issubset(q) for q in primes)]
         over = {Variant.MIN_PRIMES: minimal_primes(I), Variant.ALL_ASS_PRIMES: maximal}
@@ -194,19 +170,11 @@ def test_symbolic_powers_matches_saturation_oracle():
         for variant, local in over.items():
             want = [intersect_all([saturation_localize(Ik, p) for p in local])
                     for Ik in powers]
-            for route in Route:
-                # I^<k> always localizes, so every route applies to it
-                if (variant is Variant.MIN_PRIMES and route is Route.PRIMARY_POWERS
-                        and has_emb):
-                    with pytest.raises(EmbeddedPrimeError):
-                        next(symbolic_powers(I, [1], variant, route))
-                    continue
-                got = list(symbolic_powers(I, range(1, 5), variant, route))
-                assert [k for k, _, _ in got] == [1, 2, 3, 4]
-                assert [Ik for _, Ik, _ in got] == powers, label
-                assert [sym for _, _, sym in got] == want, (label, variant, route)
-                assert list(symbolic_powers(I, {4, 2}, variant, route)) == \
-                    [got[1], got[3]]
+            got = list(symbolic_powers(I, range(1, 5), variant))
+            assert [k for k, _, _ in got] == [1, 2, 3, 4]
+            assert [Ik for _, Ik, _ in got] == powers, label
+            assert [sym for _, _, sym in got] == want, (label, variant)
+            assert list(symbolic_powers(I, {4, 2}, variant)) == [got[1], got[3]]
     assert 0 < embedded < len(cases)
 
 
@@ -240,17 +208,33 @@ def test_one_decomposition_per_call(ex2_10_ideal, monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_localization_only_at_requested_power(ex2_10_ideal, monkeypatch):
+def test_localization_only_at_requested_power(ex2_10_ideal, ex2_12_ideal,
+                                              monkeypatch, capsys):
+    # without embedded primes nothing is localized; with them, only I^k at
+    # each requested k, once per minimal prime
     seen = []
-    original = idealkit.symbolic.localize
+    original = idealkit.decomposition.localize
 
     def counted(J, p):
         seen.append((J, p))
         return original(J, p)
 
-    monkeypatch.setattr(idealkit.symbolic, "localize", counted)
-    symbolic_power_min(ex2_10_ideal, 4)
-    I4 = ex2_10_ideal ** 4
-    assert sorted(p.variables for _, p in seen) == \
-        sorted(p.variables for p in minimal_primes(ex2_10_ideal))
-    assert all(J == I4 for J, _ in seen)
+    for module in list(sys.modules.values()):
+        if (module.__name__.startswith("idealkit")
+                and getattr(module, "localize", None) is original):
+            monkeypatch.setattr(module, "localize", counted)
+    I = ex2_10_ideal
+    jobs = {
+        "symbolic_powers": lambda: list(symbolic_powers(I, range(1, 6))),
+        "ntf_probe": lambda: ntf_probe(I, 5),
+        "cli symbolic": lambda: main(["symbolic", "--k", "5",
+                                      str(FIXTURES / "ex2_10.ideal")]),
+    }
+    for name, job in jobs.items():
+        job()
+        assert seen == [], name
+    capsys.readouterr()
+    J = ex2_12_ideal
+    assert has_embedded_primes(J)
+    list(symbolic_powers(J, {4, 2}))
+    assert seen == [(J ** k, p) for k in (2, 4) for p in minimal_primes(J)]
