@@ -76,7 +76,7 @@ def _cmd_symbolic(args):
         # I^k lies in I^(k), so an ordinary generator dividing a minimal
         # symbolic generator g is g itself
         plain = set(ordinary.exponents)
-        extra = [g for g in sym.generators if g.exponents not in plain]
+        extra = [v for v in sym.exponents if v not in plain]
         rows.append((k, ordinary, sym, extra))
 
     def text():
@@ -85,7 +85,8 @@ def _cmd_symbolic(args):
             lines.append(f"k={k}")
             lines.append(f"  ordinary: {ordinary}")
             lines.append(f"  symbolic: {sym}")
-            extra_txt = ", ".join(formats.monomial_to_text(g) for g in extra)
+            extra_txt = ", ".join(formats.exponents_to_text(I.context.names, v)
+                                  for v in extra)
             lines.append(f"  extra:    ({extra_txt})" if extra else "  extra:    none")
         return "\n".join(lines)
 
@@ -94,7 +95,7 @@ def _cmd_symbolic(args):
             {"k": k,
              "ordinary": [list(v) for v in ordinary.exponents],
              "symbolic": [list(v) for v in sym.exponents],
-             "extra": [list(g.exponents) for g in extra]}
+             "extra": [list(v) for v in extra]}
             for k, ordinary, sym, extra in rows]}
 
     _emit(args, text, obj)

@@ -75,6 +75,8 @@ class RationalCone:
         if self.inequalities is None:
             raise ValueError("membership needs the H-representation; "
                              "run dual_description first")
+        if len(v) != self.dim:
+            raise ValueError(f"vector {tuple(v)} has wrong dimension for dim={self.dim}")
         return all(dot(h, v) >= 0 for h in self.inequalities)
 
     def __str__(self):

@@ -6,11 +6,17 @@ rejected.  Ideals are stored as their unique minimal generating set, sorted
 lexicographically by exponent vector, so equal ideals compare equal and
 serialize identically.  All values are immutable and all operations are pure
 functions, safe to share across threads.
+
+Minimalization, products and intersections work on packed exponent words
+(see ``_layout``): each vector becomes one int, so a product of generators
+is one addition, an lcm a few bitwise operations and a divisibility test one
+subtraction, and increasing word order is the canonical generator order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 
 from .errors import ContextMismatchError, ExponentOverflowError, ImproperIdealError
 
@@ -41,39 +47,75 @@ def _vec_mul(a, b):
     return c
 
 
-def _minimal_vecs(vecs):
-    """Divisibility-minimal subset of integer vectors, canonically sorted.
+# ---------------------------------------------------------------------------
+# packed exponent words
+#
+# Vectors of one length n, shifted by a coordinatewise lower bound lo, are
+# packed into one int each, w bits per field and the first coordinate most
+# significant.  Every shifted entry stays below 2^(w-1), so the top bit of
+# each field is a guard bit, zero in every packed word; G is the mask of the
+# guard bits.  For packed u and v, field i of (v | G) - u holds
+# 2^(w-1) + v_i - u_i, which lies in [1, 2^w): no borrow crosses a field and
+# the guard bit survives exactly when u_i <= v_i.  Word order is the
+# lexicographic order of the vectors, which extends divisibility.
 
-    Divisibility is the componentwise order u <= v, tested on all fields at
-    once: after shifting by the coordinatewise minimum lo (the order is
-    translation invariant, so negative entries are fine), every vector is
-    packed into one int with w bits per field, w one more than the bit
-    length of the largest shifted entry.  With G the mask of each field's
-    top bit, field i of (P(v) | G) - P(u) holds 2^(w-1) + v_i - u_i, which
-    lies in [1, 2^w): no borrow crosses a field, and the top bit survives
-    exactly when u_i <= v_i.  So u divides v iff ((P(v) | G) - P(u)) & G == G.
-    """
-    # scanning by increasing total degree guarantees divisors come first
-    order = sorted(set(vecs), key=lambda v: (sum(v), v))
-    cols = list(zip(*order))
-    lo = [min(c) for c in cols]
-    w = max((max(c) - m for c, m in zip(cols, lo)), default=0).bit_length() + 1
+def _layout(lo, span):
+    """Field width and guard mask for len(lo) fields of entries up to span."""
+    w = span.bit_length() + 1
     G = 0
-    for _ in cols:
+    for _ in lo:
         G = G << w | 1 << (w - 1)
-    kept, packed = [], []
-    for v in order:
-        p = 0
-        for x, m in zip(v, lo):
-            p = p << w | (x - m)
+    return w, G
+
+
+def _pack(v, lo, w):
+    p = 0
+    for x, m in zip(v, lo):
+        p = p << w | (x - m)
+    return p
+
+
+def _unpack(p, lo, w):
+    field = (1 << w) - 1
+    shifts = range(w * (len(lo) - 1), -1, -w)
+    return tuple((p >> s & field) + m for s, m in zip(shifts, lo))
+
+
+def _bounds(vecs):
+    """Column minima and maxima of a collection of equal-length vectors."""
+    cols = list(zip(*vecs))
+    return [min(c) for c in cols], [max(c) for c in cols]
+
+
+def _minimal_words(words, G):
+    """Divisibility-minimal packed words, in increasing word order.
+
+    u divides v iff ((v | G) - u) & G == G.  Scanning in word order puts
+    every divisor before its multiples, so a word is kept iff no kept word
+    divides it, and the kept list is already in canonical order.
+    """
+    kept = []
+    for p in sorted(set(words)):
         pg = p | G
-        for q in packed:
+        for q in reversed(kept):
             if (pg - q) & G == G:
                 break
         else:
-            kept.append(v)
-            packed.append(p)
-    return tuple(sorted(kept))
+            kept.append(p)
+    return kept
+
+
+def _minimal_vecs(vecs):
+    """Divisibility-minimal subset of integer vectors, canonically sorted.
+
+    The order u <= v is translation invariant, so negative entries are fine:
+    the vectors are packed above their column minima and scanned as words.
+    """
+    vecs = set(vecs)
+    lo, hi = _bounds(vecs)
+    w, G = _layout(lo, max(map(sub, hi, lo), default=0))
+    by_word = {_pack(v, lo, w): v for v in vecs}
+    return tuple(by_word[p] for p in _minimal_words(by_word, G))
 
 
 def _same_context(a, b):
@@ -288,12 +330,10 @@ class MonomialIdeal:
 
     # -- membership ---------------------------------------------------------
     def contains(self, m):
-        if isinstance(m, Monomial):
-            _same_context(self, m)
-            v = m.exponents
-        else:
-            v = tuple(int(e) for e in m)
-        return any(_vec_divides(g, v) for g in self.exponents)
+        if not isinstance(m, Monomial):
+            m = Monomial(self.context, m)  # rejects a wrong length or sign
+        _same_context(self, m)
+        return any(_vec_divides(g, m.exponents) for g in self.exponents)
 
     def __contains__(self, m):
         return self.contains(m)
@@ -310,15 +350,27 @@ class MonomialIdeal:
                              _minimal_vecs(self.exponents + other.exponents))
 
     def __mul__(self, other):
-        if isinstance(other, Monomial):
-            _same_context(self, other)
-            return MonomialIdeal(
-                self.context,
-                _minimal_vecs(tuple(_vec_mul(g, other.exponents)
-                                    for g in self.exponents)))
+        """Product ideal; each product of packed generators is one addition.
+
+        Each operand is packed above its own column minima, with fields wide
+        enough for the largest sum, so a + b packs the product above the sum
+        of the minima and no carry crosses a field.
+        """
         _same_context(self, other)
-        prods = [_vec_mul(g, h) for g in self.exponents for h in other.exponents]
-        return MonomialIdeal(self.context, _minimal_vecs(prods))
+        A = self.exponents
+        B = (other.exponents,) if isinstance(other, Monomial) else other.exponents
+        if not A or not B:
+            return MonomialIdeal(self.context, ())
+        (lo_a, hi_a), (lo_b, hi_b) = _bounds(A), _bounds(B)
+        if any(x + y > MAX_EXPONENT for x, y in zip(hi_a, hi_b)):
+            raise ExponentOverflowError(f"exponent exceeds {MAX_EXPONENT}")
+        lo = [x + y for x, y in zip(lo_a, lo_b)]
+        w, G = _layout(lo, max(x + y - m for x, y, m in zip(hi_a, hi_b, lo)))
+        PA = [_pack(a, lo_a, w) for a in A]
+        PB = [_pack(b, lo_b, w) for b in B]
+        prods = [a + b for a in PA for b in PB]
+        return MonomialIdeal(self.context, tuple(
+            _unpack(p, lo, w) for p in _minimal_words(prods, G)))
 
     def __pow__(self, k):
         if k < 1:
@@ -329,9 +381,30 @@ class MonomialIdeal:
         return out
 
     def intersect(self, other):
+        """Intersection ideal, generated by the pairwise lcms.
+
+        On words packed in one layout, t = ((a | G) - b) & G holds the guard
+        bit of each field where a_i >= b_i, and m = t - (t >> (w - 1)) fills
+        those fields below the guard, so a & m | b & ~m is the packed lcm.
+        """
         _same_context(self, other)
-        lcms = [_vec_lcm(g, h) for g in self.exponents for h in other.exponents]
-        return MonomialIdeal(self.context, _minimal_vecs(lcms))
+        A, B = self.exponents, other.exponents
+        if not A or not B:
+            return MonomialIdeal(self.context, ())
+        lo, hi = _bounds(A + B)
+        w, G = _layout(lo, max(map(sub, hi, lo)))
+        low = w - 1
+        PB = [_pack(b, lo, w) for b in B]
+        lcms = []
+        for v in A:
+            a = _pack(v, lo, w)
+            ag = a | G
+            for b in PB:
+                t = (ag - b) & G
+                m = t - (t >> low)
+                lcms.append(a & m | b & ~m)
+        return MonomialIdeal(self.context, tuple(
+            _unpack(p, lo, w) for p in _minimal_words(lcms, G)))
 
     def __and__(self, other):
         return self.intersect(other)

@@ -41,14 +41,19 @@ def _read_text(path):
 # ---------------------------------------------------------------------------
 # monomials
 
-def monomial_to_text(m: Monomial) -> str:
+def exponents_to_text(names, exponents) -> str:
+    """Render the exponent vector of a monomial over the given variable names."""
     parts = []
-    for name, e in zip(m.context.names, m.exponents):
+    for name, e in zip(names, exponents):
         if e == 1:
             parts.append(name)
         elif e > 1:
             parts.append(f"{name}^{e}")
     return "*".join(parts) if parts else "1"
+
+
+def monomial_to_text(m: Monomial) -> str:
+    return exponents_to_text(m.context.names, m.exponents)
 
 
 def parse_monomial(context: PolyContext, text: str, line=None) -> Monomial:
@@ -124,13 +129,14 @@ def ideal_to_text(I: MonomialIdeal) -> str:
     """Single-line rendering, e.g. ``(x1^2*x3, x2)``."""
     if I.is_zero():
         return "(0)"
-    return "(" + ", ".join(monomial_to_text(g) for g in I.generators) + ")"
+    names = I.context.names
+    return "(" + ", ".join(exponents_to_text(names, v) for v in I.exponents) + ")"
 
 
 def ideal_to_source(I: MonomialIdeal) -> str:
     """Canonical ideal file: vars directive plus one generator per line."""
     lines = ["# vars: " + " ".join(I.context.names)]
-    lines += [monomial_to_text(g) for g in I.generators]
+    lines += [exponents_to_text(I.context.names, v) for v in I.exponents]
     return "\n".join(lines) + "\n"
 
 

@@ -48,10 +48,16 @@ def symbolic_powers(I: MonomialIdeal, ks, variant=Variant.MIN_PRIMES):
     intersection of its primary components' k-th powers; every other case
     localizes I^k.  I^k and the component powers grow as single chains of
     products up to max(ks); intersections happen only at the requested k.
+    ``ks`` is a container of ints (a range, set or list) and is never
+    expanded, so a huge range costs nothing beyond the powers taken from it.
     """
     I.require_proper_nonzero("symbolic powers")
-    ks = set(ks)
-    if min(ks, default=0) < 1:
+    if isinstance(ks, range) and ks:
+        # min and max of a range would iterate it; its ends are at hand
+        lo, hi = sorted((ks[0], ks[-1]))
+    else:
+        lo, hi = min(ks, default=0), max(ks, default=0)
+    if lo < 1:
         raise ValueError("symbolic powers need k >= 1")
     variant = Variant(variant)
     dec = irreducible_decomposition(I)
@@ -68,7 +74,7 @@ def symbolic_powers(I: MonomialIdeal, ks, variant=Variant.MIN_PRIMES):
         except EmbeddedPrimeError:
             pass
     Ik, powers = I, comps
-    for k in range(1, max(ks) + 1):
+    for k in range(1, hi + 1):
         if k > 1:
             Ik = Ik * I
             if comps:

@@ -83,6 +83,14 @@ def test_orthant_self_dual():
     assert set(c.rays) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
 
+def test_contains_rejects_wrong_dimension():
+    c = dual_description(RationalCone(3, rays=((1, 0, 0), (0, 1, 0), (0, 0, 1))))
+    for bad in ((1,), (1, 1, 1, -5), ()):
+        with pytest.raises(ValueError):
+            c.contains(bad)
+    assert c.contains((1, 0, 2)) and not c.contains((1, -1, 0))
+
+
 def test_wedge_dual_description():
     c = dual_description(RationalCone(2, rays=((1, 0), (1, 2))))
     assert set(c.inequalities) == {(0, 1), (2, -1)}

@@ -117,6 +117,14 @@ def test_contains(ctx, ex2_10_ideal):
     assert ex2_10_ideal.contains(c5.monomial("x1*x2^2*x3"))  # multiple of x2*x3
 
 
+def test_contains_rejects_malformed_vectors(ctx):
+    I = ctx.ideal("x1*x2", "x3")
+    for bad in ((1,), (0, 0, 1, 5), (0, -1, 1), ()):
+        with pytest.raises(ValueError):
+            I.contains(bad)
+    assert I.contains((0, 0, 1)) and not I.contains((1, 0, 0))
+
+
 def test_sum_product_power(ctx):
     p = ctx.ideal("x1", "x2")
     assert p ** 2 == ctx.ideal("x1^2", "x1*x2", "x2^2")
@@ -181,6 +189,19 @@ def test_exponent_overflow_detected(ctx):
         big * big
     with pytest.raises(ExponentOverflowError):
         Monomial(ctx, (2**63, 0, 0))
+    x1, x2 = MonomialIdeal(ctx, ((2**62, 0, 0),)), MonomialIdeal(ctx, ((0, 2**62, 0),))
+    assert x1 * x2 == MonomialIdeal(ctx, ((2**62, 2**62, 0),))
+    with pytest.raises(ExponentOverflowError):
+        x1 * x1
+    with pytest.raises(ExponentOverflowError):
+        x1 * big
+    # the column maxima decide, even when the maxima sit in different
+    # generators: 2^62 + (2^62 - 1) is the largest sum that fits
+    I = MonomialIdeal.from_generators(ctx, [(2**62, 0, 0), (0, 1, 0)])
+    J = MonomialIdeal.from_generators(ctx, [(2**62 - 1, 0, 0), (0, 0, 1)])
+    assert max(v[0] for v in (I * J).exponents) == MAX_EXPONENT
+    with pytest.raises(ExponentOverflowError):
+        I * MonomialIdeal.from_generators(ctx, [(2**62, 0, 0), (0, 0, 1)])
 
 
 def test_noncanonical_construction_rejected(ctx):
@@ -232,6 +253,50 @@ def test_power_consistency():
         for k in range(2, 5):
             acc = acc * I
             assert acc == I ** k
+
+
+def _pairwise(op, I, J):
+    return minimalize_reference([tuple(map(op, a, b))
+                                 for a in I.exponents for b in J.exponents])
+
+
+def test_packed_products_and_intersections_match_pairwise_reference():
+    # sums and lcms built pair by pair, then minimalized by the definition;
+    # fields of very different widths share one packed word
+    rng = random.Random(4242)
+    near = 2**62
+
+    def entry(wide):
+        if wide and rng.random() < 0.5:
+            return near - rng.randint(0, 3)
+        return rng.randint(0, 4)
+
+    def operand(ctx, wide):
+        kind = rng.random()
+        if kind < 0.1:
+            return MonomialIdeal(ctx, ())
+        if kind < 0.2:
+            return MonomialIdeal(ctx, ((0,) * ctx.n,))
+        gens = [tuple(entry(i in wide) for i in range(ctx.n))
+                for _ in range(rng.randint(1, 12))]
+        return MonomialIdeal.from_generators(ctx, gens)
+
+    for trial in range(300):
+        n = trial % 6 + 1
+        ctx = PolyContext.default(n)
+        wide = {i for i in range(n) if trial % 3 == 2 and rng.random() < 0.5}
+        I, J = operand(ctx, wide), operand(ctx, wide)
+        assert (I & J).exponents == _pairwise(max, I, J), (I, J)
+        sums = [tuple(map(sum, zip(a, b))) for a in I.exponents for b in J.exponents]
+        if any(x > MAX_EXPONENT for v in sums for x in v):
+            with pytest.raises(ExponentOverflowError):
+                I * J
+            continue
+        assert (I * J).exponents == minimalize_reference(sums), (I, J)
+        if J.exponents:
+            m = Monomial(ctx, J.exponents[0])
+            assert (I * m).exponents == minimalize_reference(
+                [tuple(map(sum, zip(a, m.exponents))) for a in I.exponents])
 
 
 def test_canonical_serialization_is_deterministic():

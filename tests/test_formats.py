@@ -1,5 +1,7 @@
 """File format parsing, rendering and round trips."""
 
+import random
+
 import pytest
 
 from idealkit import (
@@ -23,6 +25,8 @@ from idealkit.formats import (
     parse_ideal_source,
     parse_monomial,
 )
+
+from oracles import random_ideal
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +65,17 @@ x1^2*x3
 """)
     assert I.context.n == 3
     assert ideal_to_text(I) == "(x1*x2^2, x1^2*x3)"
+
+
+def test_ideal_text_matches_monomial_rendering():
+    # ideals render straight from their exponent tuples
+    rng = random.Random(3131)
+    for _ in range(40):
+        I = random_ideal(rng, n=rng.randint(1, 6), max_exp=3, max_gens=8)
+        old = "(" + ", ".join(monomial_to_text(g) for g in I.generators) + ")"
+        assert ideal_to_text(I) == old
+        assert ideal_to_source(I).splitlines()[1:] == [
+            monomial_to_text(g) for g in I.generators]
 
 
 def test_ideal_context_inference_fills_gaps():

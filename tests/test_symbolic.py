@@ -178,6 +178,18 @@ def test_symbolic_powers_matches_saturation_oracle():
     assert 0 < embedded < len(cases)
 
 
+def test_requested_powers_are_not_materialized(ex2_10_ideal):
+    # ks is read with min, max and membership only, so a huge range is free
+    I = ex2_10_ideal
+    assert next(symbolic_powers(I, range(1, 10**20 + 1))) == (1, I, I)
+    ascending = list(symbolic_powers(I, range(1, 4)))
+    assert list(symbolic_powers(I, range(3, 0, -1))) == ascending
+    assert list(symbolic_powers(I, [3, 1, 2, 3])) == ascending
+    for empty in (range(0), [], set()):
+        with pytest.raises(ValueError):
+            next(symbolic_powers(I, empty))
+
+
 def test_one_decomposition_per_call(ex2_10_ideal, monkeypatch, capsys):
     # each call decomposes its ideal once, however many powers it needs
     calls = []
