@@ -419,7 +419,7 @@ def integral_closure(I: MonomialIdeal,
     for a in itertools.product(*(range(b + 1) for b in box)):
         if all(dot(h, a + (1,)) >= 0 for h in rc.inequalities):
             found.append(a)
-    return MonomialIdeal(I.context, _minimal_vecs(found))
+    return MonomialIdeal.from_generators(I.context, found)
 
 
 def _component_cones(I: MonomialIdeal, what, max_lattice_points):

@@ -4,8 +4,9 @@ A :class:`PolyContext` pins the number of variables and their names; every
 monomial and ideal carries its context and cross-context arithmetic is
 rejected.  Ideals are stored as their unique minimal generating set, sorted
 lexicographically by exponent vector, so equal ideals compare equal and
-serialize identically.  All values are immutable and all operations are pure
-functions, safe to share across threads.
+serialize identically; the public constructor checks that form, and the
+library's own results have it by construction.  All values are immutable
+and all operations are pure functions, safe to share across threads.
 
 Minimalization, products and intersections work on packed exponent words
 (see ``_layout``): each vector becomes one int, so a product of generators
@@ -116,6 +117,28 @@ def _minimal_vecs(vecs):
     w, G = _layout(lo, max(map(sub, hi, lo), default=0))
     by_word = {_pack(v, lo, w): v for v in vecs}
     return tuple(by_word[p] for p in _minimal_words(by_word, G))
+
+
+def _canonical_vecs(n, vecs):
+    """Canonical form of integer tuples: lengths checked before minimalizing,
+    which could drop a wrong-length multiple; sign and range on those kept."""
+    for v in vecs:
+        if len(v) != n:
+            raise ValueError(f"generator {v} has wrong length for n={n}")
+    kept = _minimal_vecs(vecs)
+    for v in kept:
+        if any(e < 0 for e in v):
+            raise ValueError(f"negative exponent in generator {v}")
+        if any(e > MAX_EXPONENT for e in v):
+            raise ExponentOverflowError(f"exponent exceeds {MAX_EXPONENT}")
+    return kept
+
+
+def _canonical_ideal(context, vecs):
+    """The ideal on canonical ``vecs``, built without the constructor's check."""
+    ideal = object.__new__(MonomialIdeal)
+    ideal.__dict__.update(context=context, exponents=vecs)
+    return ideal
 
 
 def _same_context(a, b):
@@ -266,8 +289,8 @@ class Monomial:
 class MonomialIdeal:
     """A monomial ideal, stored as its unique minimal generating set.
 
-    The zero ideal is the empty generator list; the unit ideal is the single
-    monomial 1.  Construction enforces minimality and canonical order.
+    The zero ideal is the empty generator list, the unit ideal is (1).  The
+    constructor checks canonical form; library results have it by construction.
     """
 
     context: PolyContext
@@ -276,15 +299,7 @@ class MonomialIdeal:
     def __post_init__(self):
         vecs = tuple(tuple(int(e) for e in v) for v in self.exponents)
         object.__setattr__(self, "exponents", vecs)
-        n = self.context.n
-        for v in vecs:
-            if len(v) != n:
-                raise ValueError(f"generator {v} has wrong length for n={n}")
-            if any(e < 0 for e in v):
-                raise ValueError(f"negative exponent in generator {v}")
-            if any(e > MAX_EXPONENT for e in v):
-                raise ExponentOverflowError(f"exponent exceeds {MAX_EXPONENT}")
-        if vecs != _minimal_vecs(vecs):
+        if vecs != _canonical_vecs(self.context.n, vecs):
             raise ValueError(
                 "generators are not a canonical minimal generating set; "
                 "use MonomialIdeal.from_generators")
@@ -299,13 +314,8 @@ class MonomialIdeal:
                     raise ContextMismatchError(f"{g!r} lives in another context")
                 vecs.append(g.exponents)
             else:
-                v = tuple(int(e) for e in g)
-                # checked before minimalizing, which would drop a multiple
-                if len(v) != context.n:
-                    raise ValueError(
-                        f"generator {v} has wrong length for n={context.n}")
-                vecs.append(v)
-        return cls(context, _minimal_vecs(vecs))
+                vecs.append(tuple(int(e) for e in g))
+        return _canonical_ideal(context, _canonical_vecs(context.n, vecs))
 
     # -- structure ----------------------------------------------------------
     @property
@@ -346,8 +356,8 @@ class MonomialIdeal:
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other):
         _same_context(self, other)
-        return MonomialIdeal(self.context,
-                             _minimal_vecs(self.exponents + other.exponents))
+        return MonomialIdeal.from_generators(self.context,
+                                             self.exponents + other.exponents)
 
     def __mul__(self, other):
         """Product ideal; each product of packed generators is one addition.
@@ -360,7 +370,7 @@ class MonomialIdeal:
         A = self.exponents
         B = (other.exponents,) if isinstance(other, Monomial) else other.exponents
         if not A or not B:
-            return MonomialIdeal(self.context, ())
+            return _canonical_ideal(self.context, ())
         (lo_a, hi_a), (lo_b, hi_b) = _bounds(A), _bounds(B)
         if any(x + y > MAX_EXPONENT for x, y in zip(hi_a, hi_b)):
             raise ExponentOverflowError(f"exponent exceeds {MAX_EXPONENT}")
@@ -369,7 +379,7 @@ class MonomialIdeal:
         PA = [_pack(a, lo_a, w) for a in A]
         PB = [_pack(b, lo_b, w) for b in B]
         prods = [a + b for a in PA for b in PB]
-        return MonomialIdeal(self.context, tuple(
+        return _canonical_ideal(self.context, tuple(
             _unpack(p, lo, w) for p in _minimal_words(prods, G)))
 
     def __pow__(self, k):
@@ -390,7 +400,7 @@ class MonomialIdeal:
         _same_context(self, other)
         A, B = self.exponents, other.exponents
         if not A or not B:
-            return MonomialIdeal(self.context, ())
+            return _canonical_ideal(self.context, ())
         lo, hi = _bounds(A + B)
         w, G = _layout(lo, max(map(sub, hi, lo)))
         low = w - 1
@@ -403,7 +413,7 @@ class MonomialIdeal:
                 t = (ag - b) & G
                 m = t - (t >> low)
                 lcms.append(a & m | b & ~m)
-        return MonomialIdeal(self.context, tuple(
+        return _canonical_ideal(self.context, tuple(
             _unpack(p, lo, w) for p in _minimal_words(lcms, G)))
 
     def __and__(self, other):
@@ -414,11 +424,11 @@ class MonomialIdeal:
         _same_context(self, m)
         vecs = [tuple(max(g_i - m_i, 0) for g_i, m_i in zip(g, m.exponents))
                 for g in self.exponents]
-        return MonomialIdeal(self.context, _minimal_vecs(vecs))
+        return MonomialIdeal.from_generators(self.context, vecs)
 
     def radical(self):
         vecs = [tuple(1 if e > 0 else 0 for e in g) for g in self.exponents]
-        return MonomialIdeal(self.context, _minimal_vecs(vecs))
+        return MonomialIdeal.from_generators(self.context, vecs)
 
     def __str__(self):
         from . import formats
@@ -478,7 +488,7 @@ class MonomialPrime:
     def as_ideal(self):
         n = self.context.n
         vecs = [tuple(1 if j == i else 0 for j in range(n)) for i in self.variables]
-        return MonomialIdeal(self.context, _minimal_vecs(vecs))
+        return MonomialIdeal.from_generators(self.context, vecs)
 
     def __str__(self):
         return "(" + ", ".join(self.names) + ")"

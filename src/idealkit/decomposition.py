@@ -67,7 +67,7 @@ class IrreducibleIdeal:
     def as_ideal(self):
         n = self.context.n
         vecs = [tuple(e if j == i else 0 for j in range(n)) for i, e in self.powers]
-        return MonomialIdeal(self.context, _minimal_vecs(vecs))
+        return MonomialIdeal.from_generators(self.context, vecs)
 
     def sort_key(self):
         return (self.variables, tuple(e for _, e in self.powers))
@@ -208,8 +208,8 @@ def _pure_powers(vecs):
         yield i, v[i]
 
 
-def _prune(comps):
-    """Keep the inclusion-minimal components, in no particular order.
+def _prune(n, comps):
+    """Keep the inclusion-minimal powers tuples, in no particular order.
 
     A component is redundant iff it contains another one: an irreducible
     ideal containing the intersection must contain one of the intersected
@@ -220,24 +220,21 @@ def _prune(comps):
     t(D) <= t(C) componentwise (t(D)_i > 0 exactly on D's variables).  So
     the kept components are those whose vectors are divisibility-minimal.
     """
-    n = comps[0].context.n
-    top = 1 + max(e for c in comps for _, e in c.powers)
+    top = 1 + max(e for ps in comps for _, e in ps)
     by_vec = {}
-    for c in comps:
+    for ps in comps:
         t = [0] * n
-        for i, e in c.powers:
+        for i, e in ps:
             t[i] = top - e
-        by_vec[tuple(t)] = c
+        by_vec[tuple(t)] = ps
     return [by_vec[t] for t in _minimal_vecs(by_vec)]
 
 
 def irreducible_decomposition(I: MonomialIdeal) -> Decomposition:
     """The unique irredundant irreducible decomposition of a proper nonzero ideal."""
     I.require_proper_nonzero("irreducible decomposition")
-    memo = {}
-    raw = _split(I.exponents, memo)
-    comps = [IrreducibleIdeal(I.context, ps) for ps in raw]
-    return Decomposition(tuple(_prune(comps)))
+    kept = _prune(I.context.n, _split(I.exponents, {}))
+    return Decomposition(tuple(IrreducibleIdeal(I.context, ps) for ps in kept))
 
 
 def minimal_irreducibles(I: MonomialIdeal) -> Decomposition:
@@ -334,7 +331,7 @@ def localize(I: MonomialIdeal, p: MonomialPrime) -> MonomialIdeal:
     inside = set(p.variables)
     vecs = [tuple(e if j in inside else 0 for j, e in enumerate(v))
             for v in I.exponents]
-    return MonomialIdeal(I.context, _minimal_vecs(vecs))
+    return MonomialIdeal.from_generators(I.context, vecs)
 
 
 def alexander_dual(I: MonomialIdeal) -> MonomialIdeal:
@@ -347,7 +344,7 @@ def alexander_dual(I: MonomialIdeal) -> MonomialIdeal:
         for i, e in comp.powers:
             v[i] = e
         gens.append(tuple(v))
-    return MonomialIdeal(I.context, _minimal_vecs(gens))
+    return MonomialIdeal.from_generators(I.context, gens)
 
 
 def star_dual(I: MonomialIdeal) -> MonomialIdeal:

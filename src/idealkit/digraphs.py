@@ -17,7 +17,7 @@ import heapq
 import warnings
 from dataclasses import dataclass
 
-from .core import MonomialIdeal, PolyContext, _minimal_vecs
+from .core import MonomialIdeal, PolyContext
 from .decomposition import Decomposition, IrreducibleIdeal
 from .errors import DigraphError, HypothesisError, ImproperIdealError, ResourceCapError
 
@@ -125,7 +125,7 @@ class WeightedDigraph:
             v[i] += 1
             v[j] += self.weights[j]
             vecs.append(tuple(v))
-        return MonomialIdeal(self.context, _minimal_vecs(vecs))
+        return MonomialIdeal.from_generators(self.context, vecs)
 
     # -- covers -------------------------------------------------------------
     def _covers(self, c):
@@ -423,7 +423,7 @@ def depth_reduction_step(I: MonomialIdeal, var) -> MonomialIdeal:
     vecs = [tuple(e - 1 if j == i else e for j, e in enumerate(v))
             if v[i] == q else v
             for v in I.exponents]
-    return MonomialIdeal(ctx, _minimal_vecs(vecs))
+    return MonomialIdeal.from_generators(ctx, vecs)
 
 
 def polarize(I: MonomialIdeal):
@@ -456,4 +456,4 @@ def polarize(I: MonomialIdeal):
             for c in range(1, e + 1):
                 w[slot[(j, c)]] = 1
         vecs.append(tuple(w))
-    return MonomialIdeal(new_ctx, _minimal_vecs(vecs)), var_map
+    return MonomialIdeal.from_generators(new_ctx, vecs), var_map

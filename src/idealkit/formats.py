@@ -116,8 +116,6 @@ def parse_ideal_source(text: str, context: PolyContext | None = None) -> Monomia
     if context is None:
         context = _infer_context([b for _, b in entries])
     gens = [parse_monomial(context, body, line=lineno) for lineno, body in entries]
-    if not gens:
-        return MonomialIdeal(context, ())
     return MonomialIdeal.from_generators(context, gens)
 
 

@@ -10,16 +10,32 @@ from hypothesis import strategies as st
 from idealkit import (
     ContextMismatchError,
     ExponentOverflowError,
+    HypothesisError,
+    IrreducibleIdeal,
     Monomial,
     MonomialIdeal,
     MonomialPrime,
     PolyContext,
+    Variant,
+    WeightedDigraph,
+    alexander_dual,
+    depth_reduction_step,
+    integral_closure,
+    localize,
     minimalize,
+    polarize,
+    star_dual,
+    symbolic_powers,
 )
 from idealkit.core import MAX_EXPONENT, _minimal_vecs
 from idealkit.formats import ideal_to_source
 
-from oracles import minimalize_reference, random_ideal, vectors_up_to_degree
+from oracles import (
+    minimalize_reference,
+    random_ideal,
+    random_oriented_digraph,
+    vectors_up_to_degree,
+)
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +123,42 @@ def test_from_generators_rejects_bad_vectors():
     # a short vector must not vanish as a "multiple" of a full-length one
     with pytest.raises(ValueError):
         MonomialIdeal.from_generators(ctx2, [(1, 2), (5,)])
+
+
+def test_from_generators_entry_check_order():
+    # lengths are checked on every generator before minimalizing; sign and
+    # overflow only on the generators minimalization keeps
+    ctx2 = PolyContext.default(2)
+    big = 2**64
+    assert MonomialIdeal.from_generators(ctx2, [(1, 0), (big, 0)]) == \
+        MonomialIdeal(ctx2, ((1, 0),))
+    for bad in ([(5,), (1, 0)], [(1, 0), (5,)], [(0, 1), (2, 3, 4)],
+                [(1, 0), (big,)], [()]):
+        with pytest.raises(ValueError):
+            MonomialIdeal.from_generators(ctx2, bad)
+    for bad in ([(0, -1)], [(3, -1), (0, 5)], [(1, 1), (-2, 4)]):
+        with pytest.raises(ValueError):
+            MonomialIdeal.from_generators(ctx2, bad)
+    for bad in ([(big, 0)], [(0, 1), (MAX_EXPONENT + 1, 0)]):
+        with pytest.raises(ExponentOverflowError):
+            MonomialIdeal.from_generators(ctx2, bad)
+    top = MonomialIdeal.from_generators(ctx2, [(MAX_EXPONENT, 0)])
+    assert top.exponents == ((MAX_EXPONENT, 0),)
+    with pytest.raises(ContextMismatchError):
+        MonomialIdeal.from_generators(
+            ctx2, [(1, 0), PolyContext(("y1", "y2")).monomial("y1")])
+    once = (v for v in [(1, 1), (2, 0), (0, 3), (2, 2)])
+    assert MonomialIdeal.from_generators(ctx2, once).exponents == \
+        ((0, 3), (1, 1), (2, 0))
+    # an outside weight reaches the same checks through the edge ideal
+    with pytest.raises(ExponentOverflowError):
+        WeightedDigraph.of([("a", 1), ("b", 2**63)], [("a", "b")]).edge_ideal()
+    # direct construction applies the same order: a generator it would drop
+    # makes the list non-canonical before its range is looked at
+    with pytest.raises(ValueError):
+        MonomialIdeal(ctx2, ((1, 0), (big, 0)))
+    with pytest.raises(ExponentOverflowError):
+        MonomialIdeal(ctx2, ((big, 0),))
 
 
 def test_contains(ctx, ex2_10_ideal):
@@ -297,6 +349,65 @@ def test_packed_products_and_intersections_match_pairwise_reference():
             m = Monomial(ctx, J.exponents[0])
             assert (I * m).exponents == minimalize_reference(
                 [tuple(map(sum, zip(a, m.exponents))) for a in I.exponents])
+
+
+def _assert_canonical(J):
+    again = MonomialIdeal(J.context, J.exponents)
+    assert again == J and hash(again) == hash(J) and repr(again) == repr(J)
+    assert type(J.exponents) is tuple
+    assert all(type(v) is tuple and all(type(e) is int for e in v)
+               for v in J.exponents)
+
+
+def test_library_ideals_are_canonical_by_construction():
+    # results skip the constructor's re-check, so each one must pass it
+    rng = random.Random(1406)
+    ctx = PolyContext.default(4)
+    near = 2**61
+    zero, unit = MonomialIdeal(ctx, ()), MonomialIdeal(ctx, ((0,) * 4,))
+
+    def wide_ideal():
+        gens = [tuple(near - rng.randint(0, 2) if rng.random() < 0.3
+                      else rng.randint(0, 3) for _ in range(4))
+                for _ in range(rng.randint(1, 5))]
+        return MonomialIdeal.from_generators(ctx, gens)
+
+    small = [random_ideal(rng, n=4, max_exp=3, max_gens=4) for _ in range(12)]
+    # top x1-degree 5 and next one 1..3, so depth_reduction_step applies
+    small += [MonomialIdeal.from_generators(ctx, [
+        (5, 0, rng.randint(0, 2), 0), (rng.randint(1, 3), 1, 0, rng.randint(0, 2))])
+        for _ in range(4)]
+    reduced = 0
+    pool = small + [wide_ideal() for _ in range(8)] + [zero, unit]
+    for _ in range(60):
+        I, J = rng.choice(pool), rng.choice(pool)
+        m = Monomial(ctx, tuple(rng.randint(0, 3) for _ in range(4)))
+        p = MonomialPrime(ctx, rng.sample(range(4), rng.randint(1, 4)))
+        for K in (I + J, I * J, I * m, I ** rng.randint(1, 3), I & J,
+                  I.colon(m), I.radical(), localize(I, p), p.as_ideal()):
+            _assert_canonical(K)
+    for I in small:
+        if not I.is_proper_nonzero():
+            continue
+        _assert_canonical(alexander_dual(I))
+        _assert_canonical(star_dual(I))
+        _assert_canonical(integral_closure(I))
+        _assert_canonical(polarize(I)[0])
+        for i in range(4):
+            try:
+                _assert_canonical(depth_reduction_step(I, i))
+                reduced += 1
+            except HypothesisError:
+                pass
+        powers = tuple((i, rng.randint(1, 4)) for i in rng.sample(range(4), 2))
+        _assert_canonical(IrreducibleIdeal(ctx, powers).as_ideal())
+        for variant in Variant:
+            for _, ordinary, symbolic in symbolic_powers(I, range(1, 4), variant):
+                _assert_canonical(ordinary)
+                _assert_canonical(symbolic)
+    for _ in range(20):
+        _assert_canonical(random_oriented_digraph(rng).edge_ideal())
+    assert reduced >= 4
 
 
 def test_canonical_serialization_is_deterministic():

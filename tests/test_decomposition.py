@@ -343,7 +343,7 @@ def test_prune_matches_pairwise_definition():
                 i, e = ps[j]
                 if e > 1:
                     comps.add(ps[:j] + ((i, rng.randint(1, e - 1)),) + ps[j + 1:])
-        got = _prune([IrreducibleIdeal(ctx, ps) for ps in comps])
+        got = [IrreducibleIdeal(ctx, ps) for ps in _prune(ctx.n, comps)]
         assert len(got) == len({c.powers for c in got})
         assert {c.powers for c in got} == prune_reference(comps)
 

@@ -138,3 +138,33 @@ def test_every_error_type_is_raised():
              and obj is not errors.IdealKitError]
     assert types
     assert [name for name in types if name not in raised] == []
+
+
+def _calls(tree, name):
+    """Call nodes whose callee is the name or attribute ``name``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                yield node
+
+
+def test_canonical_form_is_made_in_core_alone():
+    # from_generators is the one place that checks entries and minimalizes;
+    # only core builds ideals without the constructor's re-check
+    builder, direct, callers = [], [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.name != "core.py":
+            builder += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                        if "_canonical_ideal" in (getattr(node, "id", None),
+                                                  getattr(node, "attr", None))]
+            for fn in ast.walk(tree):
+                if isinstance(fn, ast.FunctionDef) and any(_calls(fn, "_minimal_vecs")):
+                    callers.add(f"{path.stem}.{fn.name}")
+        direct += [f"{path.name}:{node.lineno}"
+                   for node in _calls(tree, "MonomialIdeal")
+                   for arg in node.args if any(_calls(arg, "_minimal_vecs"))]
+    assert builder == []
+    assert direct == []
+    assert callers == {"decomposition._prune", "cones._reduce_generators"}
