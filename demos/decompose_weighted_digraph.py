@@ -32,7 +32,7 @@ def main():
         print("  ", comp)
 
     dec = irreducible_decomposition(I)
-    print("\nsplitting algorithm agrees:", prt == dec)
+    print("\ngenerator-by-generator algorithm agrees:", prt == dec)
     print("I(D) is unmixed:", is_unmixed(I))
 
     flipped = WeightedDigraph.of(

@@ -214,7 +214,7 @@ class Monomial:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        exps = tuple(int(e) for e in self.exponents)
+        exps = tuple(map(int, self.exponents))
         object.__setattr__(self, "exponents", exps)
         if len(exps) != self.context.n:
             raise ValueError(
@@ -297,7 +297,7 @@ class MonomialIdeal:
     exponents: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        vecs = tuple(tuple(int(e) for e in v) for v in self.exponents)
+        vecs = tuple(tuple(map(int, v)) for v in self.exponents)
         object.__setattr__(self, "exponents", vecs)
         if vecs != _canonical_vecs(self.context.n, vecs):
             raise ValueError(
@@ -314,7 +314,7 @@ class MonomialIdeal:
                     raise ContextMismatchError(f"{g!r} lives in another context")
                 vecs.append(g.exponents)
             else:
-                vecs.append(tuple(int(e) for e in g))
+                vecs.append(tuple(map(int, g)))
         return _canonical_ideal(context, _canonical_vecs(context.n, vecs))
 
     # -- structure ----------------------------------------------------------

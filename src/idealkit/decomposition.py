@@ -1,30 +1,36 @@
 """Irreducible and primary decomposition of monomial ideals.
 
-The decomposition algorithm is coprime splitting: a generator g that mixes
-two coprime parts u, v splits the ideal into the two ideals gaining u resp.
-v; once every generator is a pure power the ideal is irreducible.  No other
-minimal generator divides g, hence none divides u or v, so a child's minimal
-generating set is the parent's without g, minus the multiples of the new
-generator, plus that generator: one linear pass, no re-minimalization.  The
-memoized split DAG is walked in post-order with an explicit stack, so deep
-inputs cannot overflow the interpreter's stack.
+The irreducible components are built by adding the generators of I one at a
+time, in canonical order.  A monomial x^g generates the intersection of the
+(x_i^{g_i}) over i in supp g, and sums distribute over intersections of
+monomial ideals.  So, given the irredundant decomposition of the ideal so
+far, each component C either contains x^g and stays, or misses it and gives
+way to its children C + (x_i^{g_i}), i in supp g.  The loop starts from the
+zero ideal, its own one component, which misses every generator.
 
-Redundant components are pruned afterwards by one ``_minimal_vecs`` call:
-each component becomes a vector that divides another component's vector
-exactly when the second component contains the first (see ``_prune``).
-The result is the unique irredundant irreducible decomposition, whose
-components are exactly the minimal irreducible ideals containing I.
+Containment is one word test.  With top one more than every exponent of I,
+map C = (x_i^{a_i}) to t(C), with t_i = top - a_i on C's variables and 0
+elsewhere: C contains D iff t(D) <= t(C) componentwise, and the vectors are
+packed into ``core`` words, where that is one guard-mask subtraction.  A
+component is redundant iff it contains another, since an irreducible ideal
+that contains an intersection contains one of its terms.  Only children can
+be: a surviving component containing a child would contain its parent, and
+two children of one parent never contain each other.  So each step tests
+the children alone, against the surviving words and the other children, and
+what is left after the last generator is the unique irredundant irreducible
+decomposition, whose components are exactly the minimal irreducible ideals
+containing I.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 from .core import (
     MonomialIdeal,
     MonomialPrime,
-    _minimal_vecs,
+    _layout,
+    _pack,
     _same_context,
     intersect_all,
 )
@@ -137,104 +143,50 @@ class Decomposition:
 
 
 # ---------------------------------------------------------------------------
-# irreducible decomposition by coprime splitting
+# irreducible decomposition, one generator at a time
 
-def _splittable(vecs):
-    """Pick the generator with largest support having >= 2 variables, or None."""
-    best = None
-    best_supp = 1
-    for v in vecs:
-        supp = sum(1 for e in v if e > 0)
-        if supp > best_supp:
-            best, best_supp = v, supp
-    return best
+def _components(I):
+    """Irreducible components of I, as (variable, exponent) tuples.
 
-
-def _with_generator(rest, u):
-    """Minimal generators of (rest) + (u), given that no member of rest
-    divides u: drop the multiples of u and insert u in sorted position."""
-    supp = [(j, e) for j, e in enumerate(u) if e]
-    if len(supp) == 1:
-        # a pure power x_j^e divides w iff w_j >= e
-        (j, e), = supp
-        out = [w for w in rest if w[j] < e]
-    else:
-        out = [w for w in rest if any(w[j] < e for j, e in supp)]
-    bisect.insort(out, u)
-    return tuple(out)
-
-
-def _split(vecs, memo):
-    """Set of irreducible components (as powers tuples) of the ideal (vecs).
-
-    ``vecs`` is a canonical minimal generating set.  A node splits on g into
-    the children gaining u = x_i^{g_i} (the first variable of g) and v = g/u.
-    Both divide g, and no other minimal generator divides g, so
-    ``_with_generator`` builds each child's minimal generating set in one
-    pass.  Nodes are expanded once: each pushes a marker carrying its two
-    children beneath them, and the children's component sets are united
-    when the marker pops.
+    Each component C is held as the word of its containment vector t(C),
+    t_i = top - a_i on C's pure powers x_i^{a_i} and 0 elsewhere, beside
+    that vector.  C misses g iff t(C) divides s(g), s_i = top - 1 - g_i.  A
+    component missing g gives way to its children C + (x_i^{g_i}), i in
+    supp g, whose field i is top - g_i.  Only the children are tested, each
+    against the surviving words and the children kept before it: word order
+    extends divisibility, so a child's divisors among the children come
+    first.  Distinct parents may share a child; the dict keeps it once.
     """
-    stack = [(vecs, None)]
-    while stack:
-        node, children = stack.pop()
-        if children is not None:
-            left, right = children
-            memo[node] = memo[left] | memo[right]
-            continue
-        if node in memo:
-            continue
-        g = _splittable(node)
-        if g is None:
-            # every generator is a pure power of a distinct variable
-            memo[node] = frozenset([tuple(sorted(_pure_powers(node)))])
-            continue
-        i = next(j for j, e in enumerate(g) if e > 0)
-        u = tuple(g[j] if j == i else 0 for j in range(len(g)))
-        v = tuple(0 if j == i else g[j] for j in range(len(g)))
-        rest = tuple(w for w in node if w != g)
-        left = _with_generator(rest, u)
-        right = _with_generator(rest, v)
-        stack.append((node, (left, right)))
-        stack.append((right, None))
-        stack.append((left, None))
-    return memo[vecs]
-
-
-def _pure_powers(vecs):
-    """(variable, exponent) pairs of a pure-power generator list."""
-    for v in vecs:
-        i = next(j for j, e in enumerate(v) if e > 0)
-        yield i, v[i]
-
-
-def _prune(n, comps):
-    """Keep the inclusion-minimal powers tuples, in no particular order.
-
-    A component is redundant iff it contains another one: an irreducible
-    ideal containing the intersection must contain one of the intersected
-    components, so containment between components decides redundancy.
-    With top one more than every exponent, map a component C to t(C), with
-    t_i = top - a_i on its variables x_i^{a_i} and 0 elsewhere.  C contains
-    D iff every variable of D is a variable of C with a_C <= a_D there, iff
-    t(D) <= t(C) componentwise (t(D)_i > 0 exactly on D's variables).  So
-    the kept components are those whose vectors are divisibility-minimal.
-    """
-    top = 1 + max(e for ps in comps for _, e in ps)
-    by_vec = {}
-    for ps in comps:
-        t = [0] * n
-        for i, e in ps:
-            t[i] = top - e
-        by_vec[tuple(t)] = ps
-    return [by_vec[t] for t in _minimal_vecs(by_vec)]
+    n = I.context.n
+    top = 1 + max(map(max, I.exponents))
+    lo = (0,) * n
+    w, G = _layout(lo, top)
+    comps = {0: lo}  # the zero ideal misses every generator
+    for g in I.exponents:
+        s = _pack([top - 1 - e for e in g], lo, w) | G
+        supp = [(i, top - e) for i, e in enumerate(g) if e]
+        kept, kids = {}, {}
+        for p, t in comps.items():
+            if (s - p) & G != G:
+                kept[p] = t
+                continue
+            for i, f in supp:
+                c = t[:i] + (f,) + t[i + 1:]
+                kids[_pack(c, lo, w)] = c
+        for p in sorted(kids):
+            pg = p | G
+            if all((pg - q) & G != G for q in kept):
+                kept[p] = kids[p]
+        comps = kept
+    return [tuple((i, top - x) for i, x in enumerate(t) if x)
+            for t in comps.values()]
 
 
 def irreducible_decomposition(I: MonomialIdeal) -> Decomposition:
     """The unique irredundant irreducible decomposition of a proper nonzero ideal."""
     I.require_proper_nonzero("irreducible decomposition")
-    kept = _prune(I.context.n, _split(I.exponents, {}))
-    return Decomposition(tuple(IrreducibleIdeal(I.context, ps) for ps in kept))
+    return Decomposition(tuple(IrreducibleIdeal(I.context, ps)
+                               for ps in _components(I)))
 
 
 def minimal_irreducibles(I: MonomialIdeal) -> Decomposition:

@@ -155,7 +155,8 @@ def test_criterion_08_prt_oracle_equivalence():
         D = random_oriented_digraph(rng, max_vertices=6, max_weight=3)
         if D.prt_decomposition() != irreducible_decomposition(D.edge_ideal()):
             mismatches += 1
-    _report(8, "200 random oriented graphs: cover-wise == splitting decomposition",
+    _report(8, "200 random oriented graphs: cover-wise == "
+               "generator-by-generator decomposition",
             mismatches == 0, f"{mismatches} mismatches")
 
 

@@ -7,7 +7,6 @@ import pytest
 from idealkit import (
     Decomposition,
     ImproperIdealError,
-    IrreducibleIdeal,
     MonomialIdeal,
     MonomialPrime,
     PolyContext,
@@ -24,14 +23,13 @@ from idealkit import (
     star_dual,
 )
 
-from idealkit.core import _minimal_vecs
-from idealkit.decomposition import _prune, _with_generator
+from idealkit.core import MAX_EXPONENT
 
 from oracles import (
     all_irreducibles_containing,
     minimal_vertex_covers,
-    prune_reference,
     random_ideal,
+    random_oriented_digraph,
     saturation_localize,
     splitting_decomposition_reference,
 )
@@ -308,44 +306,44 @@ def test_decomposition_matches_splitting_reference():
             splitting_decomposition_reference(I)
 
 
-def test_with_generator_matches_reminimalizing():
-    # a coprime part of a minimal generator g gains no divisor from the
-    # other generators, so one pass gives the re-minimalized set
-    rng = random.Random(4105)
-    checked = 0
-    for _ in range(150):
-        I = random_ideal(rng, n=rng.randint(2, 5), max_exp=3, max_gens=7)
-        for g in I.exponents:
-            supp = [j for j, e in enumerate(g) if e]
-            if len(supp) < 2:
-                continue
-            rest = tuple(w for w in I.exponents if w != g)
-            for part in ({supp[0]}, set(supp[1:]), set(supp[:-1])):
-                u = tuple(e if j in part else 0 for j, e in enumerate(g))
-                assert _with_generator(rest, u) == _minimal_vecs(rest + (u,))
-                checked += 1
-    assert checked > 100
+def _seeded_decomposition_inputs(rng):
+    """Random ideals in 1..7 variables with up to 8 generators, a tenth of
+    them with entries near MAX_EXPONENT (65-bit containment fields), single
+    generators, pure powers only, and weighted edge ideals on <= 8 vertices."""
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        ctx = PolyContext.default(n)
+        big = rng.random() < 0.1
+        vecs = []
+        for _ in range(rng.randint(1, 8)):
+            v = [rng.randint(0, 3) for _ in range(n)]
+            if big:
+                v = [MAX_EXPONENT - rng.randint(0, 2) if e and rng.random() < 0.6
+                     else e for e in v]
+            vecs.append(v)
+        yield MonomialIdeal.from_generators(ctx, vecs)
+    for n in (1, 3, 7):
+        ctx = PolyContext.default(n)
+        for _ in range(10):
+            g = [rng.choice((0, 1, 2, 5, MAX_EXPONENT)) for _ in range(n)]
+            yield MonomialIdeal.from_generators(ctx, [g])
+            pure = [tuple(rng.randint(1, 4) if j == i else 0 for j in range(n))
+                    for i in rng.sample(range(n), rng.randint(1, n))]
+            yield MonomialIdeal.from_generators(ctx, pure)
+    for _ in range(60):
+        yield random_oriented_digraph(rng, max_vertices=8).edge_ideal()
 
 
-def test_prune_matches_pairwise_definition():
-    rng = random.Random(4106)
-    ctx = PolyContext.default(4)
-    for _ in range(200):
-        comps = set()
-        for _ in range(rng.randint(1, 12)):
-            vs = rng.sample(range(4), rng.randint(1, 4))
-            ps = tuple(sorted((i, rng.randint(1, 3)) for i in vs))
-            comps.add(ps)
-            if rng.random() < 0.5:
-                # same variables, one exponent lowered: a component that
-                # contains the one before it at equal height
-                j = rng.randrange(len(ps))
-                i, e = ps[j]
-                if e > 1:
-                    comps.add(ps[:j] + ((i, rng.randint(1, e - 1)),) + ps[j + 1:])
-        got = [IrreducibleIdeal(ctx, ps) for ps in _prune(ctx.n, comps)]
-        assert len(got) == len({c.powers for c in got})
-        assert {c.powers for c in got} == prune_reference(comps)
+def test_generator_loop_matches_splitting_reference():
+    rng = random.Random(4107)
+    seen = set()
+    for I in _seeded_decomposition_inputs(rng):
+        if not I.is_proper_nonzero():
+            continue
+        seen.add(I.context.n)
+        assert _component_set(irreducible_decomposition(I)) == \
+            splitting_decomposition_reference(I), I
+    assert seen == set(range(1, 9))
 
 
 def test_deep_staircase_decomposes_without_recursion_error():

@@ -167,4 +167,4 @@ def test_canonical_form_is_made_in_core_alone():
                    for arg in node.args if any(_calls(arg, "_minimal_vecs"))]
     assert builder == []
     assert direct == []
-    assert callers == {"decomposition._prune", "cones._reduce_generators"}
+    assert callers == {"cones._reduce_generators"}
