@@ -33,6 +33,7 @@ from .decomposition import (
     star_dual,
 )
 from .symbolic import (
+    DEFAULT_GENERATOR_CAP,
     EqualityCertificate,
     NtfReport,
     Variant,

@@ -23,6 +23,7 @@ from . import cones, decomposition, digraphs, formats, symbolic
 from .cones import DEFAULT_LATTICE_CAP
 from .digraphs import DEFAULT_VERTEX_CAP
 from .errors import IdealKitError, ResourceCapError
+from .symbolic import DEFAULT_GENERATOR_CAP
 
 
 def _emit(args, text_fn, obj_fn):
@@ -72,7 +73,7 @@ def _cmd_symbolic(args):
                else symbolic.Variant.MIN_PRIMES)
     rows = []
     for k, ordinary, sym in symbolic.symbolic_powers(I, range(1, args.k + 1),
-                                                     variant):
+                                                     variant, args.max_generators):
         # I^k lies in I^(k), so an ordinary generator dividing a minimal
         # symbolic generator g is g itself
         plain = set(ordinary.exponents)
@@ -102,7 +103,7 @@ def _cmd_symbolic(args):
 
 
 def _cmd_ntf(args):
-    report = symbolic.ntf_probe(_load_ideal(args), args.kmax)
+    report = symbolic.ntf_probe(_load_ideal(args), args.kmax, args.max_generators)
 
     def text():
         lines = [f"k={k}: {'equal' if ok else 'NOT equal'}"
@@ -289,6 +290,9 @@ def build_parser():
                            help="symbolic power over minimal or all associated primes")
         if name == "ntf":
             p.add_argument("--kmax", type=int, default=4)
+        if name in ("symbolic", "ntf"):
+            p.add_argument("--max-generators", type=int, default=DEFAULT_GENERATOR_CAP,
+                           help="cap on the minimal generators of one power")
         if name == "hilbert":
             g = p.add_mutually_exclusive_group()
             g.add_argument("--simis", action="store_true",

@@ -12,6 +12,12 @@ Minimalization, products and intersections work on packed exponent words
 (see ``_layout``): each vector becomes one int, so a product of generators
 is one addition, an lcm a few bitwise operations and a divisibility test one
 subtraction, and increasing word order is the canonical generator order.
+
+The symbolic-power chain (``_power_chain``) keeps one layout for all of its
+steps: lo = 0 and fields wide enough for max(ks) times the largest exponent.
+Powers are word sums, localization at a prime is one AND with the mask of
+the prime's fields, intersections fold the lcm mask, and only the ideals it
+yields are unpacked.
 """
 
 from __future__ import annotations
@@ -19,7 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import sub
 
-from .errors import ContextMismatchError, ExponentOverflowError, ImproperIdealError
+from .errors import (
+    ContextMismatchError,
+    ExponentOverflowError,
+    ImproperIdealError,
+    ResourceCapError,
+)
 
 #: Exponents are kept within the signed 64-bit range so canonical
 #: serializations stay portable; arithmetic that would exceed it raises.
@@ -104,6 +115,36 @@ def _minimal_words(words, G):
         else:
             kept.append(p)
     return kept
+
+
+def _lcm_words(A, B, G, w):
+    """Minimal pairwise lcms of two word lists in one layout.
+
+    t = ((a | G) - b) & G holds the guard bit of each field where
+    a_i >= b_i, and m = t - (t >> (w - 1)) fills those fields below the
+    guard, so a & m | b & ~m is the packed lcm.
+    """
+    low = w - 1
+    lcms = []
+    for a in A:
+        ag = a | G
+        for b in B:
+            t = (ag - b) & G
+            m = t - (t >> low)
+            lcms.append(a & m | b & ~m)
+    return _minimal_words(lcms, G)
+
+
+def _lcm_fold(words, G, w):
+    """The lcm of a nonempty word list (its column maxima), by the same mask
+    as ``_lcm_words``."""
+    low = w - 1
+    c = words[0]
+    for b in words:
+        t = ((c | G) - b) & G
+        m = t - (t >> low)
+        c = c & m | b & ~m
+    return c
 
 
 def _minimal_vecs(vecs):
@@ -391,30 +432,18 @@ class MonomialIdeal:
         return out
 
     def intersect(self, other):
-        """Intersection ideal, generated by the pairwise lcms.
-
-        On words packed in one layout, t = ((a | G) - b) & G holds the guard
-        bit of each field where a_i >= b_i, and m = t - (t >> (w - 1)) fills
-        those fields below the guard, so a & m | b & ~m is the packed lcm.
-        """
+        """Intersection ideal, generated by the pairwise lcms (``_lcm_words``
+        on both operands packed in one layout)."""
         _same_context(self, other)
         A, B = self.exponents, other.exponents
         if not A or not B:
             return _canonical_ideal(self.context, ())
         lo, hi = _bounds(A + B)
         w, G = _layout(lo, max(map(sub, hi, lo)))
-        low = w - 1
-        PB = [_pack(b, lo, w) for b in B]
-        lcms = []
-        for v in A:
-            a = _pack(v, lo, w)
-            ag = a | G
-            for b in PB:
-                t = (ag - b) & G
-                m = t - (t >> low)
-                lcms.append(a & m | b & ~m)
+        lcms = _lcm_words([_pack(a, lo, w) for a in A],
+                          [_pack(b, lo, w) for b in B], G, w)
         return _canonical_ideal(self.context, tuple(
-            _unpack(p, lo, w) for p in _minimal_words(lcms, G)))
+            _unpack(p, lo, w) for p in lcms))
 
     def __and__(self, other):
         return self.intersect(other)
@@ -452,6 +481,74 @@ def intersect_all(ideals):
     for J in ideals[1:]:
         out = out.intersect(J)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the symbolic-power chain, on one packed layout
+
+def _localize_words(words, mask, G):
+    """Localization at a prime on packed words: one AND with ``mask``, the
+    prime's fields filled below their guard bits, clears the exponents of
+    the variables outside the prime; then the words are minimalized."""
+    return _minimal_words([p & mask for p in words], G)
+
+
+def _power_chain(I, ks, hi, comps, primes, max_generators):
+    """Yield (k, I^k, S_k) for each k in 1..hi that is in ``ks``.
+
+    S_k is the intersection of the k-th powers of the ideals ``comps`` when
+    that list is nonempty, else the intersection of I^k localized at each
+    prime in ``primes``.  The whole chain runs on words packed in one layout,
+    lo = 0 with fields wide enough for hi times the largest exponent (at most
+    MAX_EXPONENT): each power is the previous one's words plus the base's,
+    localization and intersection are ``_localize_words`` and ``_lcm_words``,
+    and only the yielded ideals are unpacked.
+
+    A product raises ExponentOverflowError exactly when ``MonomialIdeal.__mul__``
+    would, that is when a column maximum of the two factors sums past
+    MAX_EXPONENT; that is only possible once k times the largest exponent
+    passes it, and the column maxima are then one lcm fold over the words.
+    A power with more than ``max_generators`` minimal generators raises
+    ResourceCapError.
+    """
+    ctx, n = I.context, I.context.n
+    zeros = (0,) * n
+    bases = [I.exponents] + [Q.exponents for Q in comps]
+    tops = [[max(c) for c in zip(*B)] for B in bases]
+    e = max(map(max, tops))
+    w, G = _layout(zeros, min(hi * e, MAX_EXPONENT))
+    field = (1 << (w - 1)) - 1
+    masks = [sum(field << w * (n - 1 - i) for i in p.variables) for p in primes]
+
+    def unpack(words):
+        return _canonical_ideal(ctx, tuple(_unpack(p, zeros, w) for p in words))
+
+    packed = [[_pack(v, zeros, w) for v in B] for B in bases]
+    powers = packed
+    for k in range(1, hi + 1):
+        if k > 1:
+            grown = []
+            for j, (P, B, top) in enumerate(zip(powers, packed, tops)):
+                if k * e > MAX_EXPONENT and any(
+                        x + y > MAX_EXPONENT
+                        for x, y in zip(_unpack(_lcm_fold(P, G, w), zeros, w), top)):
+                    raise ExponentOverflowError(f"exponent exceeds {MAX_EXPONENT}")
+                P = _minimal_words([a + b for a in P for b in B], G)
+                if len(P) > max_generators:
+                    raise ResourceCapError(
+                        f"{'I' if j == 0 else 'a primary component'} to the "
+                        f"power k={k} has {len(P)} minimal generators, over "
+                        f"the cap of {max_generators}")
+                grown.append(P)
+            powers = grown
+        if k in ks:
+            Ik = powers[0]
+            parts = powers[1:] or [_localize_words(Ik, m, G) for m in masks]
+            S = parts[0]
+            for P in parts[1:]:
+                S = _lcm_words(S, P, G, w)
+            ordinary = I if k == 1 else unpack(Ik)
+            yield k, ordinary, ordinary if S == Ik else unpack(S)
 
 
 @dataclass(frozen=True)

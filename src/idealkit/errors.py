@@ -34,7 +34,9 @@ class DigraphError(IdealKitError):
 
 
 class ResourceCapError(IdealKitError):
-    """A configured resource cap (vertex count, lattice point count) was exceeded."""
+    """A configured resource cap was exceeded: the vertices of a cover
+    enumeration, the lattice points of a Hilbert basis search, or the minimal
+    generators of one power in the symbolic-power chain."""
 
 
 class ParseError(IdealKitError):

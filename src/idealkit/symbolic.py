@@ -9,6 +9,14 @@ Otherwise I^(k) is I^k localized at each minimal prime and intersected.
 The variant over the full set of associated primes, I^<k>, is computed by
 localization alone, at the inclusion-maximal associated primes; using all
 associated primes gives the same ideal.
+
+This module picks the path and the primes; ``core._power_chain`` does the
+arithmetic on packed words in one shared layout (lo = 0, fields wide enough
+for max(ks) times the largest exponent of I).  There a product is a word
+sum, localizing at a prime clears the other variables' fields with one AND
+and re-minimalizes, and intersecting folds the lcm mask over the words; only
+the yielded ideals are unpacked.  ``max_generators`` caps the minimal
+generators of each power with ResourceCapError.
 """
 
 from __future__ import annotations
@@ -25,15 +33,18 @@ from .cones import (
     dual_description,
     rees_cone,
 )
-from .core import MonomialIdeal, intersect_all
+from .core import MonomialIdeal, _power_chain
 from .decomposition import (
     _associated,
     _inclusion_minimal,
     irreducible_decomposition,
-    localize,
     primary_without_embedded,
 )
 from .errors import EmbeddedPrimeError
+
+#: Default cap on the minimal generators of one power in the chain; the
+#: ``--max-generators`` option of ``symbolic`` and ``ntf``.
+DEFAULT_GENERATOR_CAP = 5000
 
 
 class Variant(str, enum.Enum):
@@ -41,15 +52,19 @@ class Variant(str, enum.Enum):
     ALL_ASS_PRIMES = "all-ass-primes"
 
 
-def symbolic_powers(I: MonomialIdeal, ks, variant=Variant.MIN_PRIMES):
+def symbolic_powers(I: MonomialIdeal, ks, variant=Variant.MIN_PRIMES,
+                    max_generators: int = DEFAULT_GENERATOR_CAP):
     """Yield (k, I^k, symbolic power) for each k in ``ks``, in ascending order.
 
     I is decomposed once.  I^(k) of an ideal without embedded primes is the
     intersection of its primary components' k-th powers; every other case
-    localizes I^k.  I^k and the component powers grow as single chains of
-    products up to max(ks); intersections happen only at the requested k.
+    localizes I^k.  ``core._power_chain`` grows I^k and the component powers
+    as single chains of products up to max(ks), on packed words in one
+    layout; localizations and intersections happen only at the requested k.
     ``ks`` is a container of ints (a range, set or list) and is never
     expanded, so a huge range costs nothing beyond the powers taken from it.
+    A power with more than ``max_generators`` minimal generators raises
+    ResourceCapError.
     """
     I.require_proper_nonzero("symbolic powers")
     if isinstance(ks, range) and ks:
@@ -62,26 +77,17 @@ def symbolic_powers(I: MonomialIdeal, ks, variant=Variant.MIN_PRIMES):
     variant = Variant(variant)
     dec = irreducible_decomposition(I)
     primes = _associated(dec)
-    comps = None
+    comps, local = [], []
     if variant is Variant.ALL_ASS_PRIMES:
         local = [p for p in primes
                  if not any(q is not p and p.issubset(q) for q in primes)]
     else:
-        local = _inclusion_minimal(primes)
         try:
             comps = [c.ideal for c in primary_without_embedded(
                 dec, "the primary-power chain")]
         except EmbeddedPrimeError:
-            pass
-    Ik, powers = I, comps
-    for k in range(1, hi + 1):
-        if k > 1:
-            Ik = Ik * I
-            if comps:
-                powers = [q * c for q, c in zip(powers, comps)]
-        if k in ks:
-            yield k, Ik, intersect_all(
-                powers if comps else [localize(Ik, p) for p in local])
+            local = _inclusion_minimal(primes)
+    yield from _power_chain(I, ks, hi, comps, local, max_generators)
 
 
 def symbolic_power_min(I: MonomialIdeal, k: int) -> MonomialIdeal:
@@ -106,11 +112,12 @@ class NtfReport:
         return self.first_failure is None
 
 
-def ntf_probe(I: MonomialIdeal, kmax: int = 4) -> NtfReport:
+def ntf_probe(I: MonomialIdeal, kmax: int = 4,
+              max_generators: int = DEFAULT_GENERATOR_CAP) -> NtfReport:
     """Compare I^k with I^(k) for k = 1..kmax."""
     I.require_proper_nonzero("the torsion-freeness probe")
-    flags = tuple(Ik == sym for _, Ik, sym in
-                  symbolic_powers(I, range(1, kmax + 1)))
+    flags = tuple(Ik == sym for _, Ik, sym in symbolic_powers(
+        I, range(1, kmax + 1), max_generators=max_generators))
     first = next((k for k, ok in enumerate(flags, 1) if not ok), None)
     return NtfReport(kmax, flags, first)
 

@@ -6,18 +6,25 @@ from pathlib import Path
 
 import pytest
 
+import idealkit.core
 import idealkit.decomposition
 from idealkit import (
+    MAX_EXPONENT,
     EqualityCertificate,
+    ExponentOverflowError,
     ImproperIdealError,
     MonomialIdeal,
+    MonomialPrime,
     PolyContext,
+    ResourceCapError,
     Variant,
     associated_primes,
     has_embedded_primes,
     intersect_all,
+    localize,
     minimal_primes,
     ntf_probe,
+    primary_decomposition,
     simis_cone,
     symbolic_power_ass,
     symbolic_power_min,
@@ -26,6 +33,7 @@ from idealkit import (
     symbolic_vs_ordinary_certificate,
 )
 from idealkit.cli import main
+from idealkit.core import _unpack
 from idealkit.formats import parse_ideal_file
 
 from oracles import (
@@ -223,18 +231,27 @@ def test_one_decomposition_per_call(ex2_10_ideal, monkeypatch, capsys):
 def test_localization_only_at_requested_power(ex2_10_ideal, ex2_12_ideal,
                                               monkeypatch, capsys):
     # without embedded primes nothing is localized; with them, only I^k at
-    # each requested k, once per minimal prime
+    # each requested k, once per minimal prime.  The chain localizes packed
+    # words, so the spy records the words and the prime's mask and decodes
+    # them to (ideal, prime) pairs afterwards.
     seen = []
-    original = idealkit.decomposition.localize
+    original = idealkit.core._localize_words
 
-    def counted(J, p):
-        seen.append((J, p))
-        return original(J, p)
+    def counted(words, mask, G):
+        seen.append((words, mask, G))
+        return original(words, mask, G)
 
-    for module in list(sys.modules.values()):
-        if (module.__name__.startswith("idealkit")
-                and getattr(module, "localize", None) is original):
-            monkeypatch.setattr(module, "localize", counted)
+    def decoded(ctx):
+        out = []
+        for words, mask, G in seen:
+            w, zeros = (G & -G).bit_length(), (0,) * ctx.n
+            ideal = MonomialIdeal.from_generators(
+                ctx, [_unpack(p, zeros, w) for p in words])
+            fields = _unpack(mask, zeros, w)
+            out.append((ideal, MonomialPrime(ctx, [i for i, f in enumerate(fields) if f])))
+        return out
+
+    monkeypatch.setattr(idealkit.core, "_localize_words", counted)
     I = ex2_10_ideal
     jobs = {
         "symbolic_powers": lambda: list(symbolic_powers(I, range(1, 6))),
@@ -249,4 +266,119 @@ def test_localization_only_at_requested_power(ex2_10_ideal, ex2_12_ideal,
     J = ex2_12_ideal
     assert has_embedded_primes(J)
     list(symbolic_powers(J, {4, 2}))
-    assert seen == [(J ** k, p) for k in (2, 4) for p in minimal_primes(J)]
+    assert decoded(J.context) == [(J ** k, p) for k in (2, 4)
+                                  for p in minimal_primes(J)]
+
+
+def _local_primes(I, variant):
+    primes = associated_primes(I)
+    if variant is Variant.MIN_PRIMES:
+        return minimal_primes(I)
+    return [p for p in primes if not any(q != p and p.issubset(q) for q in primes)]
+
+
+def _chain_by_products(I, K, variant):
+    """(k, I^k, symbolic power) for k = 1..K by repeated ``*``, ``localize``
+    and ``intersect_all``, then the k at which a product overflowed (or
+    None): the same steps in the same order as ``symbolic_powers`` takes."""
+    comps = None
+    if variant is Variant.MIN_PRIMES and not has_embedded_primes(I):
+        comps = [c.ideal for c in primary_decomposition(I)]
+    local = _local_primes(I, variant)
+    rows, Ik, powers = [], I, comps
+    for k in range(1, K + 1):
+        try:
+            if k > 1:
+                Ik = Ik * I
+                if comps:
+                    powers = [q * c for q, c in zip(powers, comps)]
+        except ExponentOverflowError:
+            return rows, k
+        rows.append((k, Ik, intersect_all(
+            powers if comps else [localize(Ik, p) for p in local])))
+    return rows, None
+
+
+def test_chain_overflows_where_repeated_products_do():
+    # entries near MAX_EXPONENT // K put the first overflowing product
+    # anywhere in 2..K; the chain must yield the same powers up to it and
+    # raise there, also when its field width is clamped to MAX_EXPONENT
+    rng = random.Random(1616)
+    overflowed = set()
+    for _ in range(60):
+        n, K = rng.randint(1, 4), rng.randint(2, 9)
+        base = MAX_EXPONENT // K
+        ctx = PolyContext.default(n)
+        vecs = [tuple(rng.choice((0, 1, 3, base + rng.randint(-2, 2), base // 2))
+                      for _ in range(n)) for _ in range(rng.randint(1, 4))]
+        I = MonomialIdeal.from_generators(ctx, [v for v in vecs if any(v)] or [(1,) * n])
+        if not I.is_proper_nonzero():
+            continue
+        for variant in Variant:
+            want, at = _chain_by_products(I, K + 1, variant)
+            got = []
+            if at is None:
+                got = list(symbolic_powers(I, range(1, K + 2), variant))
+            else:
+                overflowed.add(at)
+                with pytest.raises(ExponentOverflowError):
+                    for row in symbolic_powers(I, range(1, K + 2), variant):
+                        got.append(row)
+            assert got == want, (I, variant)
+    assert len(overflowed) >= 5
+    ctx = PolyContext.default(3)
+    e = MAX_EXPONENT // 3 + 1  # 2e fits, 3e does not
+    huge = range(1, 10**20)
+    for gens, at in (([(e, 1, 0), (0, 1, 1)], 3), ([(1, 1, 0), (0, 1, 1)], None)):
+        I = MonomialIdeal.from_generators(ctx, gens)
+        for variant in Variant:
+            want, stop = _chain_by_products(I, 4, variant)
+            assert stop == at
+            rows = symbolic_powers(I, huge, variant)
+            got = [next(rows) for _ in want]
+            assert got == want
+            if at is not None:
+                with pytest.raises(ExponentOverflowError):
+                    next(rows)
+
+
+def test_chain_at_field_width_edges():
+    # exponents 2^j - 1, 2^j, 2^j + 1 and max(ks) up to 8 put the largest
+    # entry of the chain on either side of a power of two, where the shared
+    # field width changes
+    rng = random.Random(2716)
+    for n in range(1, 6):
+        for _ in range(8):
+            ctx = PolyContext.default(n)
+            vecs = []
+            for _ in range(rng.randint(1, 3)):
+                j = rng.randint(0, 4)
+                vecs.append(tuple(rng.choice((0, 2**j - 1, 2**j, 2**j + 1))
+                                  for _ in range(n)))
+            I = MonomialIdeal.from_generators(ctx, [v for v in vecs if any(v)] or [(1,) * n])
+            if not I.is_proper_nonzero():
+                continue
+            ks = sorted(rng.sample(range(1, 9), rng.randint(1, 3)))
+            for variant in Variant:
+                local = _local_primes(I, variant)
+                got = list(symbolic_powers(I, ks, variant))
+                assert [k for k, _, _ in got] == ks
+                for k, Ik, sym in got:
+                    assert Ik == I ** k, (I, k)
+                    want = intersect_all([saturation_localize(Ik, p) for p in local])
+                    assert sym == want, (I, k, variant)
+
+
+def test_power_generator_cap(ex2_10_ideal):
+    # I^k of ex2.10 keeps 6, 20, 50, 105, ... minimal generators
+    I = ex2_10_ideal
+    assert [len(Ik.exponents) for _, Ik, _ in
+            symbolic_powers(I, range(1, 5), max_generators=105)] == [6, 20, 50, 105]
+    with pytest.raises(ResourceCapError, match=r"k=4 has 105 minimal generators"):
+        list(symbolic_powers(I, range(1, 10**20), max_generators=104))
+    with pytest.raises(ResourceCapError, match="k=3"):
+        ntf_probe(I, 10**20, max_generators=49)
+    assert main(["ntf", "--kmax", "10", "--max-generators", "49",
+                 str(FIXTURES / "ex2_10.ideal")]) == 2
+    assert main(["symbolic", "--k", "10", "--max-generators", "49",
+                 str(FIXTURES / "ex2_10.ideal")]) == 2
