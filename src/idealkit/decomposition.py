@@ -20,6 +20,13 @@ the children alone, against the surviving words and the other children, and
 what is left after the last generator is the unique irredundant irreducible
 decomposition, whose components are exactly the minimal irreducible ideals
 containing I.
+
+The exact-power rule narrows that test: a child C + (x_i^{g_i}) can only
+contain a component D whose x_i power is exactly x_i^{g_i}.  Proof: D holds
+x^g and C does not, so the pure power of D that divides x^g lies in the
+child through x_i^{g_i} alone, which forces it to be x_i^{g_i}.  Such a D
+is a surviving component or a child of the same (i, g_i), so each child is
+tested against that bucket only.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from .core import (
     _layout,
     _pack,
     _same_context,
+    _unpack,
     intersect_all,
 )
 from .errors import EmbeddedPrimeError, ImproperIdealError
@@ -145,47 +153,67 @@ class Decomposition:
 # ---------------------------------------------------------------------------
 # irreducible decomposition, one generator at a time
 
+def _irreducible(context, powers):
+    """The component on sorted, valid ``powers``, built without the
+    constructor's sort and checks; the library's own components only."""
+    comp = object.__new__(IrreducibleIdeal)
+    comp.__dict__.update(context=context, powers=powers)
+    return comp
+
+
 def _components(I):
     """Irreducible components of I, as (variable, exponent) tuples.
 
     Each component C is held as the word of its containment vector t(C),
-    t_i = top - a_i on C's pure powers x_i^{a_i} and 0 elsewhere, beside
-    that vector.  C misses g iff t(C) divides s(g), s_i = top - 1 - g_i.  A
-    component missing g gives way to its children C + (x_i^{g_i}), i in
-    supp g, whose field i is top - g_i.  Only the children are tested, each
-    against the surviving words and the children kept before it: word order
-    extends divisibility, so a child's divisors among the children come
-    first.  Distinct parents may share a child; the dict keeps it once.
+    t_i = top - a_i on C's pure powers x_i^{a_i} and 0 elsewhere.  C misses g
+    iff t(C) divides s(g), s_i = top - 1 - g_i.  A component missing g gives
+    way to its children C + (x_i^{g_i}), i in supp g: the parent's word with
+    field i replaced by f = top - g_i.  By the exact-power rule (a child
+    through x_i^{g_i} contains only components whose x_i power is exactly
+    x_i^{g_i}, since their pure power dividing x^g is not in the parent),
+    those children are tested only against the bucket of surviving words
+    whose field i is f, and against the children of the same (i, g_i) kept
+    before them: word order extends divisibility, so a child's divisors
+    among those come first.  The buckets are rebuilt for each generator, one
+    scan each.  Distinct parents never share a child: through one x_i they
+    would differ in field i alone, so one would contain the other; through
+    x_i and x_j, the parent of the second would hold x_i^{g_i}, so x^g.
     """
     n = I.context.n
     top = 1 + max(map(max, I.exponents))
     lo = (0,) * n
     w, G = _layout(lo, top)
-    comps = {0: lo}  # the zero ideal misses every generator
+    field = (1 << w) - 1
+    comps = {0}  # the zero ideal misses every generator
     for g in I.exponents:
         s = _pack([top - 1 - e for e in g], lo, w) | G
-        supp = [(i, top - e) for i, e in enumerate(g) if e]
-        kept, kids = {}, {}
-        for p, t in comps.items():
-            if (s - p) & G != G:
-                kept[p] = t
+        parents = [p for p in comps if (s - p) & G == G]
+        comps.difference_update(parents)
+        kids = []
+        shift = w * n
+        for e in g:
+            shift -= w
+            if not e:
                 continue
-            for i, f in supp:
-                c = t[:i] + (f,) + t[i + 1:]
-                kids[_pack(c, lo, w)] = c
-        for p in sorted(kids):
-            pg = p | G
-            if all((pg - q) & G != G for q in kept):
-                kept[p] = kids[p]
-        comps = kept
-    return [tuple((i, top - x) for i, x in enumerate(t) if x)
-            for t in comps.values()]
+            m, f = field << shift, (top - e) << shift
+            bucket = [q for q in comps if q & m == f]
+            for c in sorted(p & ~m | f for p in parents):
+                cg = c | G
+                for q in bucket:
+                    if (cg - q) & G == G:  # t(q) divides t(c): c contains q
+                        break
+                else:
+                    bucket.append(c)
+                    kids.append(c)
+        comps.update(kids)
+    return [tuple((i, top - x) for i, x in enumerate(_unpack(p, lo, w)) if x)
+            for p in comps]
 
 
 def irreducible_decomposition(I: MonomialIdeal) -> Decomposition:
     """The unique irredundant irreducible decomposition of a proper nonzero ideal."""
     I.require_proper_nonzero("irreducible decomposition")
-    return Decomposition(tuple(IrreducibleIdeal(I.context, ps)
+    return Decomposition(tuple(_irreducible(I.context, ps)
                                for ps in _components(I)))
 
 

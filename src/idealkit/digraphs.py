@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass
 
 from .core import MonomialIdeal, PolyContext
-from .decomposition import Decomposition, IrreducibleIdeal
+from .decomposition import Decomposition, _irreducible
 from .errors import DigraphError, HypothesisError, ImproperIdealError, ResourceCapError
 
 DEFAULT_VERTEX_CAP = 20
@@ -174,14 +174,39 @@ class WeightedDigraph:
                 f"{max_vertices}")
         # earlier[v]: bit mask of the neighbours of v with a smaller index
         earlier = [nb & ((1 << v) - 1) for v, nb in enumerate(self._nbrs)]
+        # cuts[d]: (x with its neighbours, out-masks of x's heavy
+        # in-neighbours) for each active x whose strength is settled once d
+        # active vertices are decided
+        depth_of = {v: d + 1 for d, v in enumerate(active)}
+        cuts = [[] for _ in range(len(active) + 1)]
+        for x in active:
+            near = 1 << x | self._nbrs[x]
+            outs = [self._out[y] for y in _bits(self._in[x] & self._heavy)]
+            settled = near
+            for o in outs:
+                settled |= o
+            cuts[max(map(depth_of.get, _bits(settled)))].append((near, outs))
         out = []
         stack = [(0, 0)]  # (number of active vertices decided, mask chosen)
         while stack:
             depth, mask = stack.pop()
+            # drop the branch if a settled x is in L3 (x and its neighbours
+            # chosen) and every heavy in-neighbour of x is in L1 (an
+            # out-neighbour left out)
+            dead = False
+            for near, outs in cuts[depth]:
+                if near & ~mask == 0:
+                    dead = True
+                    for o in outs:
+                        if o & ~mask == 0:
+                            dead = False
+                            break
+                    if dead:
+                        break
+            if dead:
+                continue
             if depth == len(active):
-                parts = self._partition(mask)
-                if self._is_strong(*parts):
-                    out.append(parts)
+                out.append(self._partition(mask))
                 continue
             v = active[depth]
             if earlier[v] & ~mask == 0:
@@ -197,11 +222,16 @@ class WeightedDigraph:
         so no strong cover contains them.  Vertex covers are enumerated on
         bit masks by branching over the active vertices in ascending order:
         a vertex may be left out only when all of its earlier neighbours are
-        in, so every leaf is exactly one vertex cover, partitioned once and
-        kept if strong.  Taking a vertex is explored before leaving it out,
-        so a stable sort by size lists the covers by size, then in vertex
-        order (the order of ``itertools.combinations``).  The cap counts
-        active vertices."""
+        in, so every leaf is exactly one vertex cover.  A cover is strong iff
+        no vertex x is in L3 (x and its neighbours in the cover) with every
+        heavy (weight >= 2) in-neighbour in L1 (an out-neighbour left out).
+        That is decided for x at its settled depth, where x, its neighbours
+        and the out-neighbours of its heavy in-neighbours are all decided,
+        and a branch that fails it is dropped there.  So every leaf left is
+        a strong cover, partitioned once.  Taking a vertex is explored
+        before leaving it out, so a stable sort by size lists the covers by
+        size, then in vertex order (the order of ``itertools.combinations``).
+        The cap counts active vertices."""
         return [CoverPartition(*map(self._names_of, parts))
                 for parts in self._strong_covers(max_vertices)]
 
@@ -214,7 +244,7 @@ class WeightedDigraph:
                 "the digraph has no arcs, so its edge ideal is zero and has "
                 "no decomposition")
         return Decomposition(tuple(
-            IrreducibleIdeal(self.context, tuple(
+            _irreducible(self.context, tuple(
                 (v, 1 if l1 >> v & 1 else self.weights[v]) for v in _bits(c)))
             for c, l1, _, _ in self._strong_covers(max_vertices)))
 

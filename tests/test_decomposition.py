@@ -1,5 +1,6 @@
 """Decomposition machinery against worked values and structural laws."""
 
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from idealkit import (
     Decomposition,
     ImproperIdealError,
+    IrreducibleIdeal,
     MonomialIdeal,
     MonomialPrime,
     PolyContext,
@@ -350,3 +352,97 @@ def test_deep_staircase_decomposes_without_recursion_error():
     N = 1000
     got = _component_set(irreducible_decomposition(_staircase(N)))
     assert got == {((0, i), (1, N + 1 - i)) for i in range(1, N + 1)}
+
+
+def _exact_power_inputs(rng):
+    """Inputs that load the exact-power buckets: generators sharing each
+    variable's one exponent (so several hit one bucket), children of distinct
+    parents in one bucket, 3-variable staircases, powers of the maximal
+    ideal in 3 and 4 variables, and all of these near MAX_EXPONENT."""
+    for _ in range(80):
+        n = rng.randint(2, 6)
+        level = [rng.randint(1, 4) for _ in range(n)]
+        vecs = [[x if rng.random() < 0.5 else 0 for x in level]
+                for _ in range(rng.randint(2, 8))]
+        yield MonomialIdeal.from_generators(PolyContext.default(n),
+                                            [v for v in vecs if any(v)] or [level])
+    for _ in range(40):
+        # Artinian staircase in 3 variables: pure powers and monomials under them
+        N = rng.randint(2, 9)
+        vecs = [(N, 0, 0), (0, N, 0), (0, 0, N)]
+        vecs += [tuple(rng.randint(0, N - 1) for _ in range(3))
+                 for _ in range(rng.randint(1, 12))]
+        yield MonomialIdeal.from_generators(PolyContext.default(3),
+                                            [v for v in vecs if any(v)])
+    for N in (3, 6, 10):
+        # the 3-variable staircase x1^i x2^j x3^(N-i-j) with its corners cut
+        yield MonomialIdeal.from_generators(PolyContext.default(3), [
+            (i, j, N - i - j + (i * j) % 2)
+            for i in range(N + 1) for j in range(N + 1 - i)])
+    for n, kmax in ((3, 5), (4, 3)):
+        m = MonomialIdeal.from_generators(PolyContext.default(n), [
+            tuple(int(i == j) for j in range(n)) for i in range(n)])
+        for k in range(1, kmax + 1):
+            yield m ** k
+
+
+def _near_max(I):
+    """I with its nonzero exponents shifted up by d, so that the largest is
+    MAX_EXPONENT, and d.  The shift keeps the order of the exponents of
+    each variable, so the components shift with them."""
+    d = MAX_EXPONENT - max(map(max, I.exponents))
+    return MonomialIdeal.from_generators(I.context, [
+        tuple(e + d if e else 0 for e in v) for v in I.exponents]), d
+
+
+def test_exact_power_buckets_match_splitting_reference():
+    rng = random.Random(1713)
+    count = 0
+    for I in _exact_power_inputs(rng):
+        want = splitting_decomposition_reference(I)
+        assert _component_set(irreducible_decomposition(I)) == want, I
+        # near MAX_EXPONENT the containment fields are 65 bits wide
+        big, d = _near_max(I)
+        assert _component_set(irreducible_decomposition(big)) == {
+            tuple((i, e + d) for i, e in c) for c in want}, big
+        count += 1
+    assert count == 131
+
+
+def test_every_child_kept_when_supports_are_disjoint():
+    """Generators on pairwise disjoint supports: no child is ever redundant,
+    and the components are all choices of one variable per generator."""
+    rng = random.Random(1714)
+    for _ in range(30):
+        n = rng.randint(2, 8)
+        order = rng.sample(range(n), n)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, min(3, n - 1))))
+        blocks = [order[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+        vecs = []
+        for block in blocks:
+            v = [0] * n
+            for i in block:
+                v[i] = rng.choice((1, 2, 5, MAX_EXPONENT))
+            vecs.append(tuple(v))
+        I = MonomialIdeal.from_generators(PolyContext.default(n), vecs)
+        got = _component_set(irreducible_decomposition(I))
+        assert got == splitting_decomposition_reference(I)
+        assert got == {tuple(sorted((i, v[i]) for i, v in zip(choice, vecs)))
+                       for choice in itertools.product(*blocks)}
+
+
+def test_library_components_equal_constructed_ones():
+    """Components built by the library skip the constructor's checks; they
+    must still be equal to, and hash like, the constructor's."""
+    rng = random.Random(1715)
+    decs = [irreducible_decomposition(random_ideal(rng, n=rng.randint(1, 6)))
+            for _ in range(60)]
+    for _ in range(30):
+        D = random_oriented_digraph(rng, max_vertices=8)
+        decs += [D.prt_decomposition(), irreducible_decomposition(D.edge_ideal())]
+    for dec in decs:
+        for c in dec:
+            again = IrreducibleIdeal(c.context, tuple(reversed(c.powers)))
+            assert c == again and hash(c) == hash(again)
+            assert c.powers == again.powers
+            assert all(type(x) is int for pair in c.powers for x in pair)

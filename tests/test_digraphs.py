@@ -23,6 +23,7 @@ from idealkit import (
 
 from oracles import (
     cover_partition_reference,
+    minimal_vertex_covers,
     random_forest_digraph,
     random_oriented_digraph,
     random_transitive_digraph,
@@ -195,6 +196,137 @@ def test_strong_covers_match_subset_enumeration():
         isolated_seen += bool(D.isolated_vertices())
         assert D.strong_covers() == strong_covers_by_subsets(D)
     assert isolated_seen >= 50
+
+
+def _digraph(rng, n, arcs, heavy=0.5):
+    """Digraph on range(n) whose non-source vertices are heavy (weight 2-3)
+    with probability ``heavy``; sources get weight 1."""
+    heads = {j for _, j in arcs}
+    weights = tuple(rng.randint(2, 3) if v in heads and rng.random() < heavy
+                    else 1 for v in range(n))
+    return WeightedDigraph(PolyContext.default(n), weights, frozenset(arcs))
+
+
+def _random_arcs(rng, n, p=0.5):
+    arcs = set()
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.random() < p:
+            arcs.add((i, j) if rng.random() < 0.5 else (j, i))
+    return arcs or {(0, 1)}
+
+
+def _heavy_in_arcs(rng):
+    n = rng.randint(2, 10)
+    return _digraph(rng, n, _random_arcs(rng, n), heavy=0.9)
+
+
+def _unit_weights(rng):
+    n = rng.randint(2, 10)
+    return _digraph(rng, n, _random_arcs(rng, n), heavy=0)
+
+
+def _tournament(rng):
+    n = rng.randint(2, 9)
+    order = rng.sample(range(n), n)
+    arcs = {(order[a], order[b]) for a, b in itertools.combinations(range(n), 2)}
+    if rng.random() < 0.5 and n >= 3:
+        # reverse arcs at random: almost always leaves a directed cycle
+        arcs = {(j, i) if rng.random() < 0.4 else (i, j) for i, j in arcs}
+    return _digraph(rng, n, arcs, heavy=rng.random())
+
+
+def _in_star(rng):
+    n = rng.randint(3, 10)
+    hub = rng.randrange(n)
+    leaves = [v for v in range(n) if v != hub]
+    arcs = {(v, hub) for v in leaves}
+    for v in rng.sample(leaves, rng.randint(0, min(2, len(leaves) - 1))):
+        arcs.discard((v, hub))
+        arcs.add((hub, v))  # a few arcs out of the hub
+    for i, j in itertools.combinations(leaves, 2):
+        if rng.random() < 0.15:
+            arcs.add((i, j))
+    D = _digraph(rng, n, arcs, heavy=0.5)
+    weights = list(D.weights)
+    weights[hub] = rng.randint(2, 3)
+    return WeightedDigraph(D.context, tuple(weights), D.arcs)
+
+
+def _late_settled(rng):
+    """Vertex 0 has a heavy in-neighbour 1 whose out-arc to n - 1, the last
+    vertex, is the last thing the strength of 0 depends on."""
+    n = rng.randint(4, 10)
+    arcs = {(1, 0), (1, n - 1), (2, 1)}
+    for i, j in itertools.combinations(range(1, n), 2):
+        if rng.random() < 0.4 and (j, i) not in arcs:
+            arcs.add((i, j))
+    for j in range(2, n - 1):
+        if rng.random() < 0.3:
+            arcs.add((j, 0) if rng.random() < 0.5 else (0, j))
+    D = _digraph(rng, n, arcs, heavy=0.5)
+    weights = list(D.weights)
+    weights[1] = rng.randint(2, 3)
+    return WeightedDigraph(D.context, tuple(weights), D.arcs)
+
+
+def _with_isolated(rng):
+    """A random digraph with 1-3 isolated vertices at random positions."""
+    k = rng.randint(2, 7)
+    n = k + rng.randint(1, 3)
+    slots = sorted(rng.sample(range(n), k))
+    arcs = {(slots[i], slots[j]) for i, j in _random_arcs(rng, k)}
+    return _digraph(rng, n, arcs, heavy=0.6)
+
+
+def _settled_at_last(D):
+    """True if the strength of some vertex is first decided by the last
+    non-isolated vertex, through an out-neighbour of a heavy in-neighbour."""
+    active = [v for v in range(D.context.n) if D.neighbors(v)]
+    outs = lambda y: {j for i, j in D.arcs if i == y}
+    for x in active:
+        near = {x} | D.neighbors(x)
+        heavy = [y for y, j in D.arcs if j == x and D.weights[y] >= 2]
+        late = set().union(*map(outs, heavy)) - near
+        if late and max(late) == active[-1] > max(near):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("family", [_heavy_in_arcs, _unit_weights, _tournament,
+                                    _in_star, _late_settled, _with_isolated],
+                         ids=lambda f: f.__name__.strip("_"))
+def test_pruned_branching_matches_subset_enumeration(family):
+    rng = random.Random(1711)
+    seen = dict.fromkeys(("cut", "kept with L3", "settled at last", "acyclic",
+                          "isolated"), 0)
+    for _ in range(60):
+        D = family(rng)
+        got = D.strong_covers()
+        assert got == strong_covers_by_subsets(D), D
+        n = D.context.n
+        if family is _unit_weights:
+            # without heavy vertices, the strong covers are the minimal covers
+            assert sorted(sorted(D.context.index(v) for v in part.cover)
+                          for part in got) == \
+                sorted(map(sorted, minimal_vertex_covers(n, D.edges())))
+        seen["cut"] += any(D.is_vertex_cover(s) and not D.is_strong_cover(s)
+                           for k in range(n + 1)
+                           for s in itertools.combinations(range(n), k))
+        seen["kept with L3"] += any(part.L3 for part in got)
+        seen["settled at last"] += _settled_at_last(D)
+        seen["acyclic"] += D.structure().acyclic
+        seen["isolated"] += bool(D.isolated_vertices())
+    assert seen["cut"] >= 30, seen
+    if family is _unit_weights:
+        assert seen["kept with L3"] == 0
+    else:
+        assert seen["kept with L3"] >= (5 if family is _tournament else 10), seen
+    if family is _tournament:
+        assert 10 <= seen["acyclic"] <= 50, seen
+    if family is _late_settled:
+        assert seen["settled at last"] == 60
+    if family is _with_isolated:
+        assert seen["isolated"] == 60
 
 
 def test_cover_rules_match_reference():
