@@ -265,22 +265,6 @@ class Monomial:
         if any(e > MAX_EXPONENT for e in exps):
             raise ExponentOverflowError(f"exponent exceeds {MAX_EXPONENT}")
 
-    # -- structure ----------------------------------------------------------
-    def degree(self):
-        return sum(self.exponents)
-
-    def degree_in(self, i):
-        if isinstance(i, str):
-            i = self.context.index(i)
-        return self.exponents[i]
-
-    def support(self):
-        """Indices of variables that occur."""
-        return tuple(i for i, e in enumerate(self.exponents) if e > 0)
-
-    def is_one(self):
-        return not any(self.exponents)
-
     # -- arithmetic ---------------------------------------------------------
     def divides(self, other):
         _same_context(self, other)

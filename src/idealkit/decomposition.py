@@ -27,6 +27,14 @@ x^g and C does not, so the pure power of D that divides x^g lies in the
 child through x_i^{g_i} alone, which forces it to be x_i^{g_i}.  Such a D
 is a surviving component or a child of the same (i, g_i), so each child is
 tested against that bucket only.
+
+Intersections of irreducible ideals go through the same loop, by Alexander
+a-duality (Miller and Sturmfels, Combinatorial Commutative Algebra, GTM 227,
+Thm 5.27).  With a one more than every exponent, flip m^b = (x_i^{b_i} :
+i in supp b) to b*, a - b_i on supp b and 0 elsewhere (their a∖b, for their
+a one less).  The intersection of the m^b is generated by the x^{c*}, m^c
+running over the components of (x^{b*}); the loop needs neither minimal
+generators nor any order.
 """
 
 from __future__ import annotations
@@ -40,9 +48,8 @@ from .core import (
     _pack,
     _same_context,
     _unpack,
-    intersect_all,
 )
-from .errors import EmbeddedPrimeError, ImproperIdealError
+from .errors import EmbeddedPrimeError
 
 
 @dataclass(frozen=True)
@@ -68,12 +75,6 @@ class IrreducibleIdeal:
     @property
     def variables(self):
         return tuple(i for i, _ in self.powers)
-
-    def exponent(self, i):
-        for j, e in self.powers:
-            if j == i:
-                return e
-        return 0
 
     def radical(self):
         return MonomialPrime(self.context, self.variables)
@@ -143,9 +144,6 @@ class Decomposition:
         return tuple(c.as_ideal() if isinstance(c, IrreducibleIdeal) else c.ideal
                      for c in self.components)
 
-    def intersection(self):
-        return intersect_all(self.ideals())
-
     def __str__(self):
         return " ∩ ".join(str(c) for c in self.components)
 
@@ -153,16 +151,18 @@ class Decomposition:
 # ---------------------------------------------------------------------------
 # irreducible decomposition, one generator at a time
 
-def _irreducible(context, powers):
-    """The component on sorted, valid ``powers``, built without the
-    constructor's sort and checks; the library's own components only."""
-    comp = object.__new__(IrreducibleIdeal)
-    comp.__dict__.update(context=context, powers=powers)
+def _built(cls, **fields):
+    """A component of dataclass ``cls`` on valid, normalized ``fields``,
+    built without the constructor's checks: for the library's own only."""
+    comp = object.__new__(cls)
+    comp.__dict__.update(fields)
     return comp
 
 
-def _components(I):
-    """Irreducible components of I, as (variable, exponent) tuples.
+def _components(n, gens):
+    """Irreducible components of the ideal generated by ``gens``, nonzero
+    exponent vectors of length n in any order, minimal or not, as
+    (variable, exponent) tuples.
 
     Each component C is held as the word of its containment vector t(C),
     t_i = top - a_i on C's pure powers x_i^{a_i} and 0 elsewhere.  C misses g
@@ -179,13 +179,12 @@ def _components(I):
     would differ in field i alone, so one would contain the other; through
     x_i and x_j, the parent of the second would hold x_i^{g_i}, so x^g.
     """
-    n = I.context.n
-    top = 1 + max(map(max, I.exponents))
+    top = 1 + max(map(max, gens))
     lo = (0,) * n
     w, G = _layout(lo, top)
     field = (1 << w) - 1
     comps = {0}  # the zero ideal misses every generator
-    for g in I.exponents:
+    for g in gens:
         s = _pack([top - 1 - e for e in g], lo, w) | G
         parents = [p for p in comps if (s - p) & G == G]
         comps.difference_update(parents)
@@ -210,11 +209,34 @@ def _components(I):
             for p in comps]
 
 
+def _vector(n, powers):
+    """The exponent vector of the product of the pure powers ``powers``."""
+    v = [0] * n
+    for i, e in powers:
+        v[i] = e
+    return v
+
+
+def _intersection(context, powers):
+    """The intersection of the irreducible ideals on the (variable, exponent)
+    tuples ``powers``, by a-duality: one ``_components`` call on the flipped
+    vectors b*, whose components c give the generators x^{c*}."""
+    n = context.n
+    a = 1 + max(e for ps in powers for _, e in ps)
+
+    def flip(ps):
+        return [a - e if e else 0 for e in _vector(n, ps)]
+
+    return MonomialIdeal.from_generators(
+        context, [flip(c) for c in _components(n, [flip(ps) for ps in powers])])
+
+
 def irreducible_decomposition(I: MonomialIdeal) -> Decomposition:
     """The unique irredundant irreducible decomposition of a proper nonzero ideal."""
     I.require_proper_nonzero("irreducible decomposition")
-    return Decomposition(tuple(_irreducible(I.context, ps)
-                               for ps in _components(I)))
+    return Decomposition(tuple(
+        _built(IrreducibleIdeal, context=I.context, powers=ps)
+        for ps in _components(I.context.n, I.exponents)))
 
 
 def minimal_irreducibles(I: MonomialIdeal) -> Decomposition:
@@ -241,15 +263,16 @@ def is_primary(I: MonomialIdeal):
 
 
 def _primary(dec):
-    """Irreducible decomposition ``dec`` grouped by radical."""
+    """Irreducible decomposition ``dec`` grouped by radical, each group
+    intersected by ``_intersection``."""
     groups = {}
     for comp in dec:
         groups.setdefault(comp.variables, []).append(comp)
-    out = []
-    for vs, comps in groups.items():
-        ideal = intersect_all([c.as_ideal() for c in comps])
-        out.append(PrimaryIdeal(ideal, MonomialPrime(ideal.context, vs)))
-    return Decomposition(tuple(out))
+    return Decomposition(tuple(
+        _built(PrimaryIdeal,
+               ideal=_intersection(comps[0].context, [c.powers for c in comps]),
+               radical_prime=comps[0].radical())
+        for comps in groups.values()))
 
 
 def primary_decomposition(I: MonomialIdeal) -> Decomposition:
@@ -316,24 +339,13 @@ def localize(I: MonomialIdeal, p: MonomialPrime) -> MonomialIdeal:
 
 def alexander_dual(I: MonomialIdeal) -> MonomialIdeal:
     """Ideal generated by the products of each component's pure powers."""
-    dec = irreducible_decomposition(I)
     n = I.context.n
-    gens = []
-    for comp in dec:
-        v = [0] * n
-        for i, e in comp.powers:
-            v[i] = e
-        gens.append(tuple(v))
-    return MonomialIdeal.from_generators(I.context, gens)
+    return MonomialIdeal.from_generators(
+        I.context, [_vector(n, c.powers) for c in irreducible_decomposition(I)])
 
 
 def star_dual(I: MonomialIdeal) -> MonomialIdeal:
     """Intersection over minimal generators x^a of ({x_i^{a_i} : a_i >= 1})."""
     I.require_proper_nonzero("the star dual")
-    if any(not any(v) for v in I.exponents):
-        raise ImproperIdealError("the star dual requires a proper ideal")
-    pieces = []
-    for v in I.exponents:
-        powers = tuple((i, e) for i, e in enumerate(v) if e > 0)
-        pieces.append(IrreducibleIdeal(I.context, powers).as_ideal())
-    return intersect_all(pieces)
+    return _intersection(I.context, [[(i, e) for i, e in enumerate(v) if e]
+                                     for v in I.exponents])

@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass
 
 from .core import MonomialIdeal, PolyContext
-from .decomposition import Decomposition, _irreducible
+from .decomposition import Decomposition, IrreducibleIdeal, _built
 from .errors import DigraphError, HypothesisError, ImproperIdealError, ResourceCapError
 
 DEFAULT_VERTEX_CAP = 20
@@ -244,7 +244,7 @@ class WeightedDigraph:
                 "the digraph has no arcs, so its edge ideal is zero and has "
                 "no decomposition")
         return Decomposition(tuple(
-            _irreducible(self.context, tuple(
+            _built(IrreducibleIdeal, context=self.context, powers=tuple(
                 (v, 1 if l1 >> v & 1 else self.weights[v]) for v in _bits(c)))
             for c, l1, _, _ in self._strong_covers(max_vertices)))
 

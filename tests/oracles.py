@@ -377,6 +377,12 @@ def splitting_decomposition_reference(I: MonomialIdeal):
     return prune_reference(split(minimalize_reference(I.exponents)))
 
 
+def intersect_irreducibles_reference(comps):
+    """The intersection of irreducible ideals as the plain left fold of
+    pairwise intersections of their ideals."""
+    return intersect_all([c.as_ideal() for c in comps])
+
+
 def cover_partition_reference(D, subset):
     """(L1, L2, L3, strong) of the vertex indices ``subset``, or None when
     they are no vertex cover, from ``D.arcs`` and ``D.weights`` alone.

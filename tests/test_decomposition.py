@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,6 +13,7 @@ from idealkit import (
     MonomialIdeal,
     MonomialPrime,
     PolyContext,
+    PrimaryIdeal,
     alexander_dual,
     associated_primes,
     intersect_all,
@@ -29,7 +31,9 @@ from idealkit.core import MAX_EXPONENT
 
 from oracles import (
     all_irreducibles_containing,
+    intersect_irreducibles_reference,
     minimal_vertex_covers,
+    powers_contain,
     random_ideal,
     random_oriented_digraph,
     saturation_localize,
@@ -433,7 +437,8 @@ def test_every_child_kept_when_supports_are_disjoint():
 
 def test_library_components_equal_constructed_ones():
     """Components built by the library skip the constructor's checks; they
-    must still be equal to, and hash like, the constructor's."""
+    must still be equal to, and hash like, the constructor's: irreducible
+    components of both decompositions, and primary components."""
     rng = random.Random(1715)
     decs = [irreducible_decomposition(random_ideal(rng, n=rng.randint(1, 6)))
             for _ in range(60)]
@@ -446,3 +451,68 @@ def test_library_components_equal_constructed_ones():
             assert c == again and hash(c) == hash(again)
             assert c.powers == again.powers
             assert all(type(x) is int for pair in c.powers for x in pair)
+    for _ in range(60):
+        for c in primary_decomposition(random_ideal(rng, n=rng.randint(1, 6))):
+            again = PrimaryIdeal(c.ideal, c.radical_prime)
+            assert c == again and hash(c) == hash(again)
+
+
+# ---------------------------------------------------------------------------
+# intersections of irreducible ideals, by a-duality, against the fold
+
+def _star_pieces(I):
+    """The irreducible ideal (x_i^{a_i} : a_i >= 1) of each generator x^a."""
+    return [IrreducibleIdeal(I.context, tuple((i, e) for i, e in enumerate(v) if e))
+            for v in I.exponents]
+
+
+def _nested_star_inputs(rng):
+    """Ideals with a generator pair x^b, x^c whose irreducibles nest,
+    (x_i^{b_i}) containing (x_i^{c_i}): supp c a proper subset of supp b and
+    c_i > b_i there, as x1*x2^5 and x1^2; plus up to three random generators."""
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        supp = rng.sample(range(n), rng.randint(2, n))
+        b = [rng.randint(1, 5) if i in supp else 0 for i in range(n)]
+        inner = set(rng.sample(supp, rng.randint(1, len(supp) - 1)))
+        c = [b[i] + rng.randint(1, 3) if i in inner else 0 for i in range(n)]
+        extra = [[rng.randint(0, 3) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+        yield MonomialIdeal.from_generators(PolyContext.default(n),
+                                            [b, c] + [v for v in extra if any(v)])
+
+
+def test_duality_intersections_match_the_fold():
+    """star_dual and the primary components intersect irreducible ideals by
+    one _components call on flipped vectors; each must equal the fold."""
+    rng = random.Random(1811)
+    inputs = itertools.chain(_seeded_decomposition_inputs(rng),
+                             _nested_star_inputs(rng))
+    seen = Counter()
+    for I in inputs:
+        if not I.is_proper_nonzero():
+            continue
+        pieces = _star_pieces(I)
+        assert star_dual(I) == intersect_irreducibles_reference(pieces), I
+        groups = {}
+        for c in irreducible_decomposition(I):
+            groups.setdefault(c.variables, []).append(c)
+        want = [(vs, intersect_irreducibles_reference(cs))
+                for vs, cs in sorted(groups.items())]
+        assert [(c.radical_prime.variables, c.ideal)
+                for c in primary_decomposition(I)] == want, I
+        seen["exponent above 1"] += max(map(max, I.exponents)) > 1
+        seen["principal"] += len(I.exponents) == 1
+        seen["nested irreducibles"] += any(
+            p is not q and powers_contain(p.powers, q.powers)
+            for p in pieces for q in pieces)
+        seen["single-component group"] += any(len(cs) == 1 for cs in groups.values())
+        seen["multi-component group"] += any(len(cs) > 1 for cs in groups.values())
+    assert len(seen) == 5 and min(seen.values()) >= 20, seen
+
+
+def test_staircase_primary_decomposition_is_the_ideal():
+    # one primary component of N irreducible ones, all with radical (x1, x2)
+    I = _staircase(300)
+    (comp,) = primary_decomposition(I)
+    assert comp.ideal == I
+    assert comp.radical_prime == MonomialPrime(I.context, (0, 1))
