@@ -34,17 +34,16 @@ from .decomposition import (
 )
 from .symbolic import (
     DEFAULT_GENERATOR_CAP,
-    EqualityCertificate,
     NtfReport,
     Variant,
     ntf_probe,
     symbolic_power_ass,
     symbolic_power_min,
     symbolic_powers,
-    symbolic_vs_ordinary_certificate,
 )
 from .cones import (
     DEFAULT_LATTICE_CAP,
+    EqualityCertificate,
     HilbertBasis,
     RationalCone,
     check_symbolic_rees_normal,
@@ -57,6 +56,7 @@ from .cones import (
     rees_cone,
     simis_cone,
     symbolic_rees_generators,
+    symbolic_vs_ordinary_certificate,
 )
 from .digraphs import (
     DEFAULT_VERTEX_CAP,

@@ -2,13 +2,14 @@
 
 Rees cones, Simis cones, V/H conversion by the double description method,
 minimal Hilbert bases via a pulling triangulation, normality certificates,
-integral closure and symbolic Rees algebra generators.  Every computation is
-exact over the integers: primitive vectors, integer Hermite elimination, no
-floats.
+integral closure, symbolic Rees algebra generators and the cone-criterion
+certificate for I^k == I^(k) at every k.  Every computation is exact over
+the integers: primitive vectors, integer Hermite elimination, no floats.
 """
 
 from __future__ import annotations
 
+import enum
 import itertools
 from dataclasses import dataclass
 from math import lcm, prod
@@ -23,7 +24,12 @@ from ._linalg import (
 )
 from .core import Monomial, MonomialIdeal, _minimal_vecs
 from .decomposition import irreducible_decomposition, primary_without_embedded
-from .errors import HypothesisError, NonPointedConeError, ResourceCapError
+from .errors import (
+    EmbeddedPrimeError,
+    HypothesisError,
+    NonPointedConeError,
+    ResourceCapError,
+)
 
 #: Default ceiling on enumerated parallelepiped lattice points per call.
 DEFAULT_LATTICE_CAP = 10**6
@@ -459,3 +465,32 @@ def symbolic_rees_generators(I: MonomialIdeal,
             f"Hilbert basis recipe does not apply")
     hb = hilbert_basis(_simis_cone(cones, I.context.n + 1), max_lattice_points)
     return tuple((Monomial(I.context, v[:-1]), v[-1]) for v in hb.elements)
+
+
+class EqualityCertificate(str, enum.Enum):
+    EQUAL_BY_CONE_CRITERION = "equal-by-cone-criterion"
+    UNEQUAL = "unequal"
+    INAPPLICABLE = "inapplicable"
+
+
+def symbolic_vs_ordinary_certificate(I: MonomialIdeal) -> EqualityCertificate:
+    """Decide ``I^k == I^(k) for all k`` via the cone criterion.
+
+    Applicable when I has no embedded primes and every primary component is
+    normal; then equality for every k holds iff the Simis cone equals the
+    Rees cone and I itself is normal.
+    """
+    I.require_proper_nonzero("the equality certificate")
+    try:
+        cones, bad = _component_cones(I, "the cone criterion", DEFAULT_LATTICE_CAP)
+    except EmbeddedPrimeError:
+        return EqualityCertificate.INAPPLICABLE
+    if bad is not None:
+        return EqualityCertificate.INAPPLICABLE
+    simis = _simis_cone(cones, I.context.n + 1)
+    rc = rees_cone(I)
+    rees = dual_description(rc)
+    if (cones_equal(simis, rees)
+            and _generated_by(rees, rc.rays, DEFAULT_LATTICE_CAP)):
+        return EqualityCertificate.EQUAL_BY_CONE_CRITERION
+    return EqualityCertificate.UNEQUAL

@@ -15,9 +15,9 @@ subtraction, and increasing word order is the canonical generator order.
 
 The symbolic-power chain (``_power_chain``) keeps one layout for all of its
 steps: lo = 0 and fields wide enough for max(ks) times the largest exponent.
-Powers are word sums, localization at a prime is one AND with the mask of
-the prime's fields, intersections fold the lcm mask, and only the ideals it
-yields are unpacked.
+Powers of I are word sums, localization at a prime is one AND with the mask
+of the prime's fields, intersections fold the lcm mask, and only the ideals
+it yields are unpacked.
 """
 
 from __future__ import annotations
@@ -477,16 +477,15 @@ def _localize_words(words, mask, G):
     return _minimal_words([p & mask for p in words], G)
 
 
-def _power_chain(I, ks, hi, comps, primes, max_generators):
+def _power_chain(I, ks, hi, primes, max_generators):
     """Yield (k, I^k, S_k) for each k in 1..hi that is in ``ks``.
 
-    S_k is the intersection of the k-th powers of the ideals ``comps`` when
-    that list is nonempty, else the intersection of I^k localized at each
-    prime in ``primes``.  The whole chain runs on words packed in one layout,
-    lo = 0 with fields wide enough for hi times the largest exponent (at most
-    MAX_EXPONENT): each power is the previous one's words plus the base's,
-    localization and intersection are ``_localize_words`` and ``_lcm_words``,
-    and only the yielded ideals are unpacked.
+    S_k is the intersection of I^k localized at each prime in ``primes``.
+    The whole chain runs on words packed in one layout, lo = 0 with fields
+    wide enough for hi times the largest exponent (at most MAX_EXPONENT):
+    each power is the previous one's words plus I's, localization and
+    intersection are ``_localize_words`` and ``_lcm_words``, and only the
+    yielded ideals are unpacked.
 
     A product raises ExponentOverflowError exactly when ``MonomialIdeal.__mul__``
     would, that is when a column maximum of the two factors sums past
@@ -497,9 +496,8 @@ def _power_chain(I, ks, hi, comps, primes, max_generators):
     """
     ctx, n = I.context, I.context.n
     zeros = (0,) * n
-    bases = [I.exponents] + [Q.exponents for Q in comps]
-    tops = [[max(c) for c in zip(*B)] for B in bases]
-    e = max(map(max, tops))
+    top = [max(c) for c in zip(*I.exponents)]
+    e = max(top)
     w, G = _layout(zeros, min(hi * e, MAX_EXPONENT))
     field = (1 << (w - 1)) - 1
     masks = [sum(field << w * (n - 1 - i) for i in p.variables) for p in primes]
@@ -507,30 +505,23 @@ def _power_chain(I, ks, hi, comps, primes, max_generators):
     def unpack(words):
         return _canonical_ideal(ctx, tuple(_unpack(p, zeros, w) for p in words))
 
-    packed = [[_pack(v, zeros, w) for v in B] for B in bases]
-    powers = packed
+    base = [_pack(v, zeros, w) for v in I.exponents]
+    Ik = base
     for k in range(1, hi + 1):
         if k > 1:
-            grown = []
-            for j, (P, B, top) in enumerate(zip(powers, packed, tops)):
-                if k * e > MAX_EXPONENT and any(
-                        x + y > MAX_EXPONENT
-                        for x, y in zip(_unpack(_lcm_fold(P, G, w), zeros, w), top)):
-                    raise ExponentOverflowError(f"exponent exceeds {MAX_EXPONENT}")
-                P = _minimal_words([a + b for a in P for b in B], G)
-                if len(P) > max_generators:
-                    raise ResourceCapError(
-                        f"{'I' if j == 0 else 'a primary component'} to the "
-                        f"power k={k} has {len(P)} minimal generators, over "
-                        f"the cap of {max_generators}")
-                grown.append(P)
-            powers = grown
+            if k * e > MAX_EXPONENT and any(
+                    x + y > MAX_EXPONENT
+                    for x, y in zip(_unpack(_lcm_fold(Ik, G, w), zeros, w), top)):
+                raise ExponentOverflowError(f"exponent exceeds {MAX_EXPONENT}")
+            Ik = _minimal_words([a + b for a in Ik for b in base], G)
+            if len(Ik) > max_generators:
+                raise ResourceCapError(
+                    f"I to the power k={k} has {len(Ik)} minimal generators, "
+                    f"over the cap of {max_generators}")
         if k in ks:
-            Ik = powers[0]
-            parts = powers[1:] or [_localize_words(Ik, m, G) for m in masks]
-            S = parts[0]
-            for P in parts[1:]:
-                S = _lcm_words(S, P, G, w)
+            S = _localize_words(Ik, masks[0], G)
+            for m in masks[1:]:
+                S = _lcm_words(S, _localize_words(Ik, m, G), G, w)
             ordinary = I if k == 1 else unpack(Ik)
             yield k, ordinary, ordinary if S == Ik else unpack(S)
 

@@ -311,8 +311,8 @@ def has_embedded_primes(I: MonomialIdeal) -> bool:
 def primary_without_embedded(dec: Decomposition, what: str) -> Decomposition:
     """Primary decomposition from the irreducible decomposition ``dec``, or
     EmbeddedPrimeError (naming ``what``) if ``dec`` has an embedded prime:
-    the one test of the hypothesis that the results on symbolic powers and
-    the Simis cone rest on."""
+    the one test of the hypothesis that the Simis cone, the symbolic Rees
+    algebra results and the equality certificate rest on."""
     primes = _associated(dec)
     if primes != _inclusion_minimal(primes):
         raise EmbeddedPrimeError(f"{what} needs an ideal without embedded primes")

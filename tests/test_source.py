@@ -168,3 +168,11 @@ def test_canonical_form_is_made_in_core_alone():
     assert builder == []
     assert direct == []
     assert callers == {"cones._reduce_generators"}
+
+
+def test_symbolic_imports_only_core_and_decomposition():
+    # symbolic powers are products, localizations and intersections of I^k
+    # at primes of the decomposition; the cone criterion lives in cones
+    tree = ast.parse((SRC / "symbolic.py").read_text())
+    loaded = set().union(*map(_sibling_imports, ast.walk(tree)))
+    assert loaded == {"core", "decomposition"}

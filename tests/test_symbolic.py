@@ -230,10 +230,10 @@ def test_one_decomposition_per_call(ex2_10_ideal, monkeypatch, capsys):
 
 def test_localization_only_at_requested_power(ex2_10_ideal, ex2_12_ideal,
                                               monkeypatch, capsys):
-    # without embedded primes nothing is localized; with them, only I^k at
-    # each requested k, once per minimal prime.  The chain localizes packed
-    # words, so the spy records the words and the prime's mask and decodes
-    # them to (ideal, prime) pairs afterwards.
+    # every ideal takes one path: I^k is localized at each requested k, once
+    # per prime of the variant, with or without embedded primes.  The chain
+    # localizes packed words, so the spy records the words and the prime's
+    # mask and decodes them to (ideal, prime) pairs afterwards.
     seen = []
     original = idealkit.core._localize_words
 
@@ -249,10 +249,12 @@ def test_localization_only_at_requested_power(ex2_10_ideal, ex2_12_ideal,
                 ctx, [_unpack(p, zeros, w) for p in words])
             fields = _unpack(mask, zeros, w)
             out.append((ideal, MonomialPrime(ctx, [i for i, f in enumerate(fields) if f])))
+        seen.clear()
         return out
 
     monkeypatch.setattr(idealkit.core, "_localize_words", counted)
     I = ex2_10_ideal
+    assert not has_embedded_primes(I)
     jobs = {
         "symbolic_powers": lambda: list(symbolic_powers(I, range(1, 6))),
         "ntf_probe": lambda: ntf_probe(I, 5),
@@ -261,13 +263,49 @@ def test_localization_only_at_requested_power(ex2_10_ideal, ex2_12_ideal,
     }
     for name, job in jobs.items():
         job()
-        assert seen == [], name
+        assert decoded(I.context) == [(I ** k, p) for k in range(1, 6)
+                                      for p in minimal_primes(I)], name
     capsys.readouterr()
     J = ex2_12_ideal
     assert has_embedded_primes(J)
     list(symbolic_powers(J, {4, 2}))
     assert decoded(J.context) == [(J ** k, p) for k in (2, 4)
                                   for p in minimal_primes(J)]
+    list(symbolic_powers(J, {4, 2}, Variant.ALL_ASS_PRIMES))
+    maximal = _local_primes(J, Variant.ALL_ASS_PRIMES)
+    assert maximal != minimal_primes(J)
+    assert decoded(J.context) == [(J ** k, p) for k in (2, 4) for p in maximal]
+
+
+def test_symbolic_path_takes_no_primary_decomposition(ex2_10_ideal, ex2_12_ideal,
+                                                      monkeypatch, capsys):
+    # symbolic powers localize I^k at primes read off the irreducible
+    # decomposition; no primary component is ever built
+    calls = []
+    original = idealkit.decomposition._primary
+
+    def counted(dec):
+        calls.append(dec)
+        return original(dec)
+
+    monkeypatch.setattr(idealkit.decomposition, "_primary", counted)
+    for label, I in (("ex2_10", ex2_10_ideal), ("ex2_12", ex2_12_ideal)):
+        path = str(FIXTURES / f"{label}.ideal")
+        jobs = {
+            "symbolic_powers": lambda: list(symbolic_powers(I, range(1, 4))),
+            "symbolic_powers ass": lambda: list(symbolic_powers(
+                I, range(1, 4), Variant.ALL_ASS_PRIMES)),
+            "ntf_probe": lambda: ntf_probe(I, 3),
+            "cli symbolic": lambda: main(["symbolic", "--k", "3", path]),
+            "cli symbolic ass": lambda: main(["symbolic", "--k", "3",
+                                              "--variant", "ass", path]),
+        }
+        for name, job in jobs.items():
+            job()
+            assert calls == [], (label, name)
+    capsys.readouterr()
+    primary_decomposition(ex2_10_ideal)
+    assert len(calls) == 1  # the spy sees the one caller
 
 
 def _local_primes(I, variant):
@@ -280,7 +318,10 @@ def _local_primes(I, variant):
 def _chain_by_products(I, K, variant):
     """(k, I^k, symbolic power) for k = 1..K by repeated ``*``, ``localize``
     and ``intersect_all``, then the k at which a product overflowed (or
-    None): the same steps in the same order as ``symbolic_powers`` takes."""
+    None).  For I^(k) of an ideal without embedded primes it intersects the
+    k-th powers of the primary components (Cooper, Embree, Ha, Hoefel), so
+    it checks that theorem against the localizing chain of
+    ``symbolic_powers``; every other case localizes I^k by ``localize``."""
     comps = None
     if variant is Variant.MIN_PRIMES and not has_embedded_primes(I):
         comps = [c.ideal for c in primary_decomposition(I)]
