@@ -301,7 +301,9 @@ def build_parser():
                            help="treat the input as an ideal file; use its Rees cone")
         if name in ("hilbert", "normal", "closure", "sreesgens"):
             p.add_argument("--max-lattice-points", type=int,
-                           default=DEFAULT_LATTICE_CAP)
+                           default=DEFAULT_LATTICE_CAP,
+                           help="cap on the parallelepiped lattice points of the "
+                                "cone's pulling triangulation, summed over all simplices")
         if name in ("covers", "prt"):
             p.add_argument("--max-vertices", type=int, default=DEFAULT_VERTEX_CAP)
     return parser

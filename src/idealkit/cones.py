@@ -2,7 +2,8 @@
 
 Rees cones, Simis cones, V/H conversion by the double description method,
 minimal Hilbert bases via a pulling triangulation, normality certificates,
-integral closure, symbolic Rees algebra generators and the cone-criterion
+integral closure (the level-one candidates of the same triangulation of the
+Rees cone), symbolic Rees algebra generators and the cone-criterion
 certificate for I^k == I^(k) at every k.  Every computation is exact over
 the integers: primitive vectors, integer Hermite elimination, no floats.
 """
@@ -355,32 +356,36 @@ def _reduce_generators(cands, ineqs):
     return [by_values[w] for w in _minimal_vecs(by_values)]
 
 
-def hilbert_basis(cone: RationalCone,
-                  max_lattice_points: int = DEFAULT_LATTICE_CAP) -> HilbertBasis:
-    """The unique minimal Hilbert basis of a pointed cone.
-
-    Triangulates over the rays by pulling, with the faces read off the
-    inequalities the converted cone holds, enumerates the lattice points of
-    each simplicial fundamental parallelepiped, adds the primitive rays and
-    reduces the union to the minimal basis.  ``max_lattice_points`` bounds
-    the parallelepiped points summed over all simplices (their indices).
+def _candidates(cone, max_lattice_points):
+    """Rays and nonzero parallelepiped points of a pulling triangulation of a
+    pointed cone holding both representations: they lie in the cone and hold
+    its whole Hilbert basis.  This is the kernel's one lattice-point
+    enumeration; ``max_lattice_points`` bounds the parallelepiped points
+    summed over all simplices (their indices).
     """
-    cone = dual_description(cone)
-    d = cone.dim
     if cone.rays and not is_pointed(cone):
         raise NonPointedConeError(
             "the cone contains a line; its Hilbert basis is not unique")
     rays = list(cone.rays)
     if not rays:
-        return HilbertBasis(d, ())
+        return set()
     cands = set(rays)
     budget = max_lattice_points
     for simplex in _pulling_triangulation(rays, cone.inequalities):
         pts, index = _parallelepiped_points([rays[i] for i in simplex], budget)
         budget -= index
         cands.update(p for p in pts if any(p))
-    basis = _reduce_generators(cands, cone.inequalities)
-    return HilbertBasis(d, tuple(basis))
+    return cands
+
+
+def hilbert_basis(cone: RationalCone,
+                  max_lattice_points: int = DEFAULT_LATTICE_CAP) -> HilbertBasis:
+    """The unique minimal Hilbert basis of a pointed cone: the converted
+    cone's ``_candidates`` reduced by ``_reduce_generators``.
+    ``max_lattice_points`` bounds the parallelepiped points."""
+    cone = dual_description(cone)
+    cands = _candidates(cone, max_lattice_points)
+    return HilbertBasis(cone.dim, tuple(_reduce_generators(cands, cone.inequalities)))
 
 
 # ---------------------------------------------------------------------------
@@ -409,23 +414,17 @@ def integral_closure(I: MonomialIdeal,
                      max_lattice_points: int = DEFAULT_LATTICE_CAP) -> MonomialIdeal:
     """Monomials x^a with (a, 1) in the Rees cone.
 
-    Minimal generators of the closure are bounded componentwise by the
-    maxima of the generator exponents, so a box search at level one suffices.
+    The cone meets level 0 in the nonnegative orthant, so (a, 1) is
+    reducible iff some (b, 1) in the cone has x^b a proper divisor of x^a:
+    the level-one Hilbert-basis elements are the minimal generators.  The
+    Rees cone's ``_candidates`` lie in it and hold the whole basis, so their
+    minimal level-one points generate the closure; ``max_lattice_points``
+    bounds their parallelepiped points.
     """
     I.require_proper_nonzero("the integral closure")
-    rc = dual_description(rees_cone(I))
-    n = I.context.n
-    box = [max(g[j] for g in I.exponents) for j in range(n)]
-    count = prod(b + 1 for b in box)
-    if count > max_lattice_points:
-        raise ResourceCapError(
-            f"level-one box holds {count} points, over max_lattice_points="
-            f"{max_lattice_points}")
-    found = []
-    for a in itertools.product(*(range(b + 1) for b in box)):
-        if all(dot(h, a + (1,)) >= 0 for h in rc.inequalities):
-            found.append(a)
-    return MonomialIdeal.from_generators(I.context, found)
+    cands = _candidates(dual_description(rees_cone(I)), max_lattice_points)
+    return MonomialIdeal.from_generators(
+        I.context, [v[:-1] for v in cands if v[-1] == 1])
 
 
 def _component_cones(I: MonomialIdeal, what, max_lattice_points):

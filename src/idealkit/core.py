@@ -52,13 +52,6 @@ def _vec_gcd(a, b):
     return tuple(x if x <= y else y for x, y in zip(a, b))
 
 
-def _vec_mul(a, b):
-    c = tuple(x + y for x, y in zip(a, b))
-    if any(x > MAX_EXPONENT for x in c):
-        raise ExponentOverflowError(f"exponent exceeds {MAX_EXPONENT}")
-    return c
-
-
 # ---------------------------------------------------------------------------
 # packed exponent words
 #
@@ -280,7 +273,8 @@ class Monomial:
 
     def __mul__(self, other):
         _same_context(self, other)
-        return Monomial(self.context, _vec_mul(self.exponents, other.exponents))
+        return Monomial(self.context,
+                        tuple(a + b for a, b in zip(self.exponents, other.exponents)))
 
     def __truediv__(self, other):
         """Exact division; ``other`` must divide ``self``."""
@@ -293,10 +287,7 @@ class Monomial:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power of a monomial")
-        c = tuple(e * k for e in self.exponents)
-        if any(e > MAX_EXPONENT for e in c):
-            raise ExponentOverflowError(f"exponent exceeds {MAX_EXPONENT}")
-        return Monomial(self.context, c)
+        return Monomial(self.context, tuple(e * k for e in self.exponents))
 
     def __lt__(self, other):
         _same_context(self, other)

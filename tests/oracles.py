@@ -19,7 +19,9 @@ from idealkit import (
     MonomialPrime,
     PolyContext,
     WeightedDigraph,
+    dual_description,
     intersect_all,
+    rees_cone,
 )
 from idealkit._linalg import dot
 
@@ -91,6 +93,25 @@ def closure_member_by_powers(I: MonomialIdeal, vec, kmax=6):
         if (I ** k).contains(target):
             return True
     return False
+
+
+def integral_closure_by_box(I: MonomialIdeal) -> MonomialIdeal:
+    """Integral closure by search: every x^a with (a, 1) in the Rees cone,
+    a in the level-one box of the generator maxima.  Only the cone's
+    inequalities come from the library (its double description).
+
+    Minimal generators of the closure are bounded componentwise by the
+    maxima of the generator exponents, so a box search at level one suffices.
+    """
+    I.require_proper_nonzero("the integral closure")
+    rc = dual_description(rees_cone(I))
+    n = I.context.n
+    box = [max(g[j] for g in I.exponents) for j in range(n)]
+    found = []
+    for a in itertools.product(*(range(b + 1) for b in box)):
+        if all(dot(h, a + (1,)) >= 0 for h in rc.inequalities):
+            found.append(a)
+    return MonomialIdeal.from_generators(I.context, found)
 
 
 def minimal_vertex_covers(n, edges):
@@ -194,6 +215,18 @@ def random_ideal(rng, n=4, max_exp=4, max_gens=4, squarefree=False):
                 vecs.append(v)
         if vecs:
             return MonomialIdeal.from_generators(ctx, vecs)
+
+
+def random_sparse_ideal(rng, n, max_exp, num_gens):
+    """Ideal of num_gens generators, each on 2 or 3 random variables (n >= 3)
+    with exponents in 1..max_exp."""
+    vecs = []
+    for _ in range(num_gens):
+        v = [0] * n
+        for i in rng.sample(range(n), rng.randint(2, 3)):
+            v[i] = rng.randint(1, max_exp)
+        vecs.append(tuple(v))
+    return MonomialIdeal.from_generators(PolyContext.default(n), vecs)
 
 
 def random_no_embedded_ideal(rng, n=3, max_exp=3, max_gens=3):

@@ -294,6 +294,21 @@ def test_exit_code_resource_cap(capsys):
     assert code == 2 and "budget" in err
 
 
+def test_closure_lattice_point_cap(capsys):
+    # closure spends the same parallelepiped budget as hilbert
+    code, _, err = run(capsys, "closure", "--max-lattice-points", "1",
+                       FIXTURES / "ex2_22.ideal")
+    assert code == 2 and "budget" in err
+
+
+def test_closure_within_lattice_point_cap(capsys):
+    # fig1's Rees cone needs at most 50 parallelepiped points
+    code, capped, _ = run(capsys, "closure", "--max-lattice-points", "50",
+                          FIXTURES / "fig1.ideal")
+    assert code == 0
+    assert capped == run(capsys, "closure", FIXTURES / "fig1.ideal")[1]
+
+
 def test_k_validation(capsys):
     code, _, err = run(capsys, "symbolic", "--k", "0", FIXTURES / "ex2_10.ideal")
     assert code == 1 and "k" in err

@@ -14,7 +14,10 @@ import pytest
 import idealkit
 from idealkit import (
     EmbeddedPrimeError,
+    EqualityCertificate,
     HypothesisError,
+    ImproperIdealError,
+    MonomialIdeal,
     NonPointedConeError,
     PolyContext,
     RationalCone,
@@ -41,9 +44,11 @@ from oracles import (
     box_vectors,
     closure_member_by_powers,
     frac_solve,
+    integral_closure_by_box,
     random_ideal,
     random_no_embedded_ideal,
     random_pointed_cone,
+    random_sparse_ideal,
     rank_reference,
     semigroup_member_bounded,
 )
@@ -435,6 +440,36 @@ def test_closure_membership_oracle_agreement():
             assert closure_member_by_powers(I, v, kmax=8)
 
 
+def _closure_cases():
+    """Seeded ideals for the box reference: random, principal, squarefree
+    and pure-power ideals in up to 5 variables with exponents up to 4, every
+    ideal fixture, and one 7-variable ideal whose box holds 80,640 points."""
+    rng = random.Random(20)
+    for i in range(200):
+        n = rng.randint(1, 5)
+        kind = i % 4
+        if kind == 0:
+            yield random_ideal(rng, n=n, max_exp=4, max_gens=1)
+        elif kind == 1:
+            yield random_ideal(rng, n=n, max_gens=5, squarefree=True)
+        elif kind == 2:
+            ctx = PolyContext.default(n)
+            support = rng.sample(range(n), rng.randint(1, n))
+            yield ctx.ideal(*(f"x{j + 1}^{rng.randint(1, 4)}" for j in support))
+        else:
+            yield random_ideal(rng, n=n, max_exp=4, max_gens=5)
+    for path in sorted(FIXTURES.glob("*.ideal")):
+        yield parse_ideal_file(path)
+    yield random_sparse_ideal(random.Random(31), n=7, max_exp=7, num_gens=7)
+
+
+def test_integral_closure_matches_box_reference():
+    for I in _closure_cases():
+        assert integral_closure(I) == integral_closure_by_box(I), I
+    with pytest.raises(ImproperIdealError, match="the integral closure"):
+        integral_closure(PolyContext.default(2).ideal("1"))
+
+
 # ---------------------------------------------------------------------------
 # symbolic Rees generators
 
@@ -462,6 +497,52 @@ def test_check_symbolic_rees_normal(ex2_10_ideal, ctx3):
     ctx2 = PolyContext.default(2)
     assert not check_symbolic_rees_normal(ctx2.ideal("x1^2", "x2^2"))
     assert check_symbolic_rees_normal(ex2_10_ideal)
+
+
+def test_symbolic_rees_procedure_and_certificate_match_definitions():
+    # K is the largest t-degree in the Hilbert bases of the Simis and Rees
+    # cones.  With no embedded primes and normal components, I^(k) is an
+    # intersection of integrally closed ideals, so both checks only need
+    # k <= K:
+    #   H generates: I^(k) = sum_{b=1..k} (x^a : (a, b) in H) * I^(k-b);
+    #   the certificate says EQUAL exactly when I^k = I^(k) for k <= K.
+    # Cases with K > 4 are skipped.  At this seed the certificate gives 129
+    # EQUAL, 14 UNEQUAL and 55 INAPPLICABLE, and 2 cases are skipped.
+    from oracles import random_oriented_digraph, symbolic_power_reference
+    rng = random.Random(2027)
+    tally = {cert: 0 for cert in EqualityCertificate}
+    skipped = 0
+    for i in range(200):
+        if i % 2:
+            I = random_oriented_digraph(rng, max_vertices=5).edge_ideal()
+        else:
+            I = random_ideal(rng, n=rng.randint(4, 5), max_gens=6,
+                             squarefree=True)
+        cert = symbolic_vs_ordinary_certificate(I)
+        if cert is EqualityCertificate.INAPPLICABLE:
+            tally[cert] += 1
+            continue
+        K = max(v[-1] for c in (simis_cone(I), rees_cone(I))
+                for v in hilbert_basis(c))
+        if K > 4:
+            skipped += 1
+            continue
+        tally[cert] += 1
+        ctx = I.context
+        sym = [ctx.ideal("1")] + [symbolic_power_reference(I, k)
+                                  for k in range(1, K + 1)]
+        H = symbolic_rees_generators(I)
+        by_degree = [MonomialIdeal.from_generators(ctx, [m for m, b in H if b == t])
+                     for t in range(K + 1)]
+        for k in range(1, K + 1):
+            generated = by_degree[k]
+            for b in range(1, k):
+                generated = generated + by_degree[b] * sym[k - b]
+            assert generated == sym[k], (I, k)
+        equal = all(I ** k == sym[k] for k in range(1, K + 1))
+        assert equal == (cert is EqualityCertificate.EQUAL_BY_CONE_CRITERION), I
+    assert all(tally.values()), tally
+    assert skipped <= 5, skipped
 
 
 def test_slice_law_ties_cone_to_symbolic_powers(ex2_10_ideal):
