@@ -38,9 +38,7 @@ DEFAULT_LATTICE_CAP = 10**6
 
 def _canonical_vectors(vecs):
     out = {primitive(tuple(int(x) for x in v)) for v in vecs}
-    out.discard(())
-    out = {v for v in out if any(v)}
-    return tuple(sorted(out))
+    return tuple(sorted(v for v in out if any(v)))
 
 
 @dataclass(frozen=True)
@@ -98,58 +96,59 @@ class RationalCone:
 # ---------------------------------------------------------------------------
 # double description: extreme rays of {x : Ax >= 0}
 
+def _tight(h, vecs):
+    """Bit mask of the indices i with <h, vecs[i]> == 0."""
+    return sum(1 << i for i, v in enumerate(vecs) if dot(h, v) == 0)
+
+
+def _maximal(masks):
+    """The inclusion-maximal masks, each once, in order of first occurrence."""
+    masks = list(dict.fromkeys(masks))
+    return [m for m in masks if not any(m != o and m & o == m for o in masks)]
+
+
 def _dd_pointed(rows, d):
-    """Extreme rays of {x : <a,x> >= 0 for a in rows}; needs rank(rows) == d."""
+    """Extreme rays of {x : <a,x> >= 0 for a in rows}; needs rank(rows) == d.
+    Rows are processed starting rows first; a ray's active set is the bit
+    mask of the processed rows, by place in that order, that it is tight on."""
     sel = independent_rows(rows, need=d)
     if len(sel) < d:
         raise ValueError("cone is not pointed (inequality matrix rank deficient)")
+    rows = [rows[i] for i in sel] + [r for i, r in enumerate(rows) if i not in sel]
     rays = []
     actives = []
-    for j, row_id in enumerate(sel):
-        # the ray on every starting facet but row_id's, on its positive side
-        rest = sel[:j] + sel[j + 1:]
-        v = kernel_lattice_basis([rows[i] for i in rest])[0] if rest else (1,)
-        if dot(rows[row_id], v) < 0:
+    for j in range(d):
+        # the ray on every starting facet but row j's, on its positive side
+        rest = rows[:j] + rows[j + 1:d]
+        v = kernel_lattice_basis(rest)[0] if rest else (1,)
+        if dot(rows[j], v) < 0:
             v = tuple(-x for x in v)
         rays.append(v)
-        actives.append(frozenset(rest))
+        actives.append(((1 << d) - 1) ^ (1 << j))
 
-    processed = list(sel)
-    for row_id in range(len(rows)):
-        if row_id in sel:
-            continue
-        a = rows[row_id]
-        vals = [dot(a, r) for r in rays]
+    for k in range(d, len(rows)):
+        vals = [dot(rows[k], r) for r in rays]
+        actives = [act | 1 << k if val == 0 else act
+                   for act, val in zip(actives, vals)]
         if all(v >= 0 for v in vals):
-            actives = [act | {row_id} if val == 0 else act
-                       for act, val in zip(actives, vals)]
-            processed.append(row_id)
             continue
         pos = [i for i, v in enumerate(vals) if v > 0]
         neg = [i for i, v in enumerate(vals) if v < 0]
-        zer = [i for i, v in enumerate(vals) if v == 0]
         new_rays = []
         for ip in pos:
             for im in neg:
-                s = actives[ip] & actives[im]
-                adjacent = not any(
-                    k != ip and k != im and s <= actives[k]
-                    for k in range(len(rays)))
-                if not adjacent:
+                s = actives[ip] & actives[im]  # adjacent: no third set holds s
+                if any(s & act == s for t, act in enumerate(actives)
+                       if t != ip and t != im):
                     continue
                 r = primitive(tuple(
                     vals[ip] * x - vals[im] * y
                     for x, y in zip(rays[im], rays[ip])))
                 new_rays.append(r)
-        processed.append(row_id)
-        keep_rays = [rays[i] for i in pos + zer]
-        keep_acts = [actives[i] | ({row_id} if i in zer else frozenset())
-                     for i in pos + zer]
-        for r in new_rays:
-            keep_rays.append(r)
-            keep_acts.append(frozenset(
-                i for i in processed if dot(rows[i], r) == 0))
-        rays, actives = keep_rays, keep_acts
+        keep = [i for i, v in enumerate(vals) if v >= 0]
+        rays = [rays[i] for i in keep] + new_rays
+        actives = ([actives[i] for i in keep]
+                   + [_tight(r, rows[:k + 1]) for r in new_rays])
     return sorted(set(rays))
 
 
@@ -191,7 +190,7 @@ def dual_description(cone: RationalCone) -> RationalCone:
 def is_pointed(cone: RationalCone) -> bool:
     if cone.inequalities is None:
         cone = dual_description(cone)
-    return rank(list(cone.inequalities)) == cone.dim if cone.inequalities else cone.dim == 0
+    return bool(cone.inequalities) and rank(list(cone.inequalities)) == cone.dim
 
 
 def cones_equal(c1: RationalCone, c2: RationalCone) -> bool:
@@ -231,17 +230,19 @@ def _simis_cone(cones, d):
 
     The union of their inequalities cuts out the intersection; one
     conversion gives its extreme rays, and the inequalities kept are the
-    facets, those whose tight rays have rank d - 1.  The rank test is exact:
-    the Simis cone holds e_1..e_n and a point at level 1, and lies in the
-    nonnegative orthant, so it is full-dimensional and pointed.  Then every
-    facet appears among the inequalities and is tight on d - 1 independent
-    extreme rays, and any other inequality is tight on a smaller face.
+    facets, those whose tight sets (the rays they vanish on) are
+    inclusion-maximal.  The Simis cone holds e_1..e_n and a point at level
+    1, and lies in the nonnegative orthant, so it is full-dimensional and
+    pointed: every facet appears among the inequalities, no nonzero valid
+    inequality is tight on every ray, and any other inequality is tight on
+    a face that lies strictly inside some facet.
     """
     ineqs = _canonical_vectors(h for c in cones for h in c.inequalities)
     rays = _cone_generators(ineqs, d)
-    facets = [h for h in ineqs
-              if rank([r for r in rays if dot(h, r) == 0] or [(0,) * d]) == d - 1]
-    return RationalCone(d, rays=tuple(rays), inequalities=tuple(facets))
+    tight = [_tight(h, rays) for h in ineqs]
+    facets = set(_maximal(tight))
+    return RationalCone(d, rays=tuple(rays), inequalities=tuple(
+        h for h, g in zip(ineqs, tight) if g in facets))
 
 
 # ---------------------------------------------------------------------------
@@ -272,31 +273,29 @@ class HilbertBasis:
 def _pulling_triangulation(rays, ineqs):
     """Cover a pointed cone with simplicial cones on its rays, by pulling.
 
-    Faces are sets of ray indices, walked on a stack.  A face of dimension
-    dim with dim rays is a simplex; otherwise its smallest ray, the apex,
-    is joined to a cover of each facet of the face that misses it.  Every
-    facet of a face F is F & g for the tight set g (the rays an inequality
-    vanishes on) of some valid inequality, and each F & g is a face of F, so
-    the facets are the F & g of rank dim - 1: redundant inequalities do no
-    harm, and the +-lineality rows of a lower-dimensional cone are tight on
-    every ray, so they hold the apex and are skipped.  The minimal Hilbert
-    basis is unique, so any such cover gives the same basis after
-    _reduce_generators.
+    Faces are bit masks over ray indices, walked on a stack.  A face of
+    dimension dim with dim rays is a simplex; otherwise its lowest ray, the
+    apex, is joined to a cover of each facet of the face that misses it.
+    Every face is the intersection of the facets that contain it, and each
+    F & g, for the tight set g of a valid inequality, is a face of F; so a
+    face of F that misses the apex lies in a facet of F that misses it, and
+    those facets are the inclusion-maximal F & g with the apex not in g.
+    Redundant inequalities do no harm, and the +-lineality rows of a
+    lower-dimensional cone are tight on every ray, so they hold the apex
+    and are skipped.  The minimal Hilbert basis is unique, so any such
+    cover gives the same basis after _reduce_generators.
     """
-    tight = [frozenset(i for i, r in enumerate(rays) if dot(h, r) == 0)
-             for h in ineqs]
+    tight = [_tight(h, rays) for h in ineqs]
     simplices = []
-    stack = [(tuple(range(len(rays))), rank(rays), ())]
+    stack = [((1 << len(rays)) - 1, rank(rays), ())]
     while stack:
         face, dim, apexes = stack.pop()
-        if len(face) == dim:
-            simplices.append(apexes + face)
+        if face.bit_count() == dim:
+            simplices.append(apexes + tuple(i for i in range(len(rays)) if face >> i & 1))
             continue
-        apex = face[0]
-        facets = dict.fromkeys(tuple(i for i in face if i in g)
-                               for g in tight if apex not in g)
-        stack.extend((f, dim - 1, apexes + (apex,)) for f in facets
-                     if rank([rays[i] for i in f]) == dim - 1)
+        apex = (face & -face).bit_length() - 1
+        facets = _maximal([face & g for g in tight if not g >> apex & 1])
+        stack.extend((f, dim - 1, apexes + (apex,)) for f in facets)
     return simplices
 
 

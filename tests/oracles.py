@@ -355,6 +355,33 @@ def random_pointed_cone(rng, max_dim=4, max_entry=5):
     return RationalCone(d, rays=tuple(rays))
 
 
+def pulling_triangulation_by_rank(rays, ineqs):
+    """The pulling triangulation with facets picked by rank, not inclusion.
+
+    Faces are sets of ray indices, walked on a stack.  A face of dimension
+    dim with dim rays is a simplex; otherwise its smallest ray, the apex,
+    is joined to a cover of each facet of the face that misses it.  Every
+    facet of a face F is F & g for the tight set g (the rays an inequality
+    vanishes on) of some valid inequality, and each F & g is a face of F, so
+    the facets are the F & g of rank dim - 1.
+    """
+    tight = [frozenset(i for i, r in enumerate(rays) if dot(h, r) == 0)
+             for h in ineqs]
+    simplices = []
+    stack = [(tuple(range(len(rays))), rank_reference(rays), ())]
+    while stack:
+        face, dim, apexes = stack.pop()
+        if len(face) == dim:
+            simplices.append(apexes + face)
+            continue
+        apex = face[0]
+        facets = dict.fromkeys(tuple(i for i in face if i in g)
+                               for g in tight if apex not in g)
+        stack.extend((f, dim - 1, apexes + (apex,)) for f in facets
+                     if rank_reference([rays[i] for i in f]) == dim - 1)
+    return simplices
+
+
 # ---------------------------------------------------------------------------
 # reference implementations of the decomposition kernels: the plain
 # definitions, re-minimalizing and comparing pairwise wherever the library

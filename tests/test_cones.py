@@ -45,6 +45,7 @@ from oracles import (
     closure_member_by_powers,
     frac_solve,
     integral_closure_by_box,
+    pulling_triangulation_by_rank,
     random_ideal,
     random_no_embedded_ideal,
     random_pointed_cone,
@@ -360,6 +361,52 @@ def test_pulling_triangulation_covers_the_cone():
         for v in box_vectors([3] * d):
             if any(v) and cone.contains(v):
                 assert any(all(c >= 0 for c in frac_solve(A, v)) for A in cols), v
+
+
+def _ladder_rung(n):
+    """Edge ideal of the seeded graph with n vertices and 3n/2 edges."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = random.Random(3).sample(pairs, 3 * n // 2)
+    return MonomialIdeal.from_generators(
+        PolyContext.default(n),
+        [tuple(int(k in e) for k in range(n)) for e in edges])
+
+
+def test_pulling_triangulation_matches_rank_reference():
+    # the facets of a face that miss the apex are the inclusion-maximal
+    # F & g, so the triangulation is the rank rule's, simplex for simplex
+    # and in the same order
+    rng = random.Random(4242)
+    cones = [random_pointed_cone(rng, max_dim=5, max_entry=3) for _ in range(150)]
+    lower = 0
+    while lower < 100:
+        # nonnegative combinations of t < d independent vectors
+        d = rng.randint(3, 5)
+        t = rng.randint(2, d - 1)
+        basis = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(t)]
+        if rank_reference(basis) < t:
+            continue
+        coeffs = [[rng.randint(0, 3) for _ in range(t)]
+                  for _ in range(rng.randint(t + 1, t + 4))]
+        rays = [tuple(dot(c, col) for col in zip(*basis)) for c in coeffs if any(c)]
+        if rays:
+            cones.append(RationalCone(d, rays=tuple(rays)))
+            lower += 1
+    ideals = [parse_ideal_file(path) for path in sorted(FIXTURES.glob("*.ideal"))]
+    ideals.append(_ladder_rung(8))
+    for I in ideals:
+        cones.append(rees_cone(I))
+        try:
+            cones.append(simis_cone(I))
+        except EmbeddedPrimeError:
+            pass
+    lower_split = 0
+    for cone in map(dual_description, cones):
+        rays = list(cone.rays)
+        got = _pulling_triangulation(rays, cone.inequalities)
+        assert got == pulling_triangulation_by_rank(rays, cone.inequalities), cone
+        lower_split += rank_reference(rays) < cone.dim and len(got) > 1
+    assert lower_split >= 10
 
 
 def test_lattice_point_cap_enforced(ex2_10_ideal):

@@ -170,6 +170,20 @@ def test_canonical_form_is_made_in_core_alone():
     assert callers == {"cones._reduce_generators"}
 
 
+def test_cone_facets_are_picked_by_inclusion():
+    # the cone kernel holds incidence sets as int bit masks and picks facets
+    # as the inclusion-maximal tight sets: rank decides pointedness and the
+    # triangulation's starting dimension, never a face or an inequality
+    tree = ast.parse((SRC / "cones.py").read_text())
+    rank_callers, frozenset_builders = [], []
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            rank_callers += [fn.name for _ in _calls(fn, "rank")]
+            frozenset_builders += [fn.name for _ in _calls(fn, "frozenset")]
+    assert sorted(rank_callers) == ["_pulling_triangulation", "is_pointed"]
+    # HilbertBasis.as_set holds vectors, not indices
+    assert frozenset_builders == ["as_set"]
+
 def test_symbolic_imports_only_core_and_decomposition():
     # symbolic powers are products, localizations and intersections of I^k
     # at primes of the decomposition; the cone criterion lives in cones
