@@ -2,11 +2,14 @@
 
 Matrices are row-major lists of integer rows.  All elimination happens in
 one routine, ``_echelon``: integer column operations bring A to its column
-Hermite form A V = H with V unimodular.  Rank, a greedy independent row
-subset, a saturated kernel lattice basis and a diagonal form are read off
-H, V and the pivot rows.  Sizes stay tiny (the ambient dimension is the
-variable count plus one), so clarity wins over asymptotics; the size
-reduction keeps the entries of H below their pivots.
+Hermite form A V = H with V unimodular.  The rank is the pivot count, the
+greedy independent rows are the pivot rows, and the columns of V past the
+pivots are a saturated basis of the integer kernel.  The pivot rows of H
+form a lower-triangular L with a positive diagonal; ``lower_solve`` solves
+x L = s c exactly, which is all the cone kernel needs of L^-1.  Sizes stay
+tiny (the ambient dimension is the variable count plus one), so clarity
+wins over asymptotics; the size reduction keeps the entries of H below
+their pivots.
 """
 
 from __future__ import annotations
@@ -89,39 +92,15 @@ def rank(rows):
     return len(_echelon(rows, len(rows[0]) if rows else 0)[2])
 
 
-def independent_rows(rows, need=None):
-    """Indices of the rows independent of the rows before them (the greedy
-    maximal independent subset), or of the first ``need`` of them."""
-    pivots = _echelon(rows, len(rows[0]) if rows else 0)[2]
-    return pivots if need is None else pivots[:need]
+def lower_solve(L, c, s):
+    """The integer row vector x with x L = s c, for L square lower-triangular
+    with a positive diagonal and s a multiple of det L.
 
-
-def kernel_lattice_basis(A):
-    """Basis of the saturated integer kernel lattice {x in Z^n : A x = 0}.
-
-    With A V = H in column echelon form, the columns of V past the pivots
-    map to zero; V is unimodular, so they span a direct summand of Z^n.
+    s L^-1 is integral, so back-substitution from the last column divides
+    exactly: column j gives x_j L_jj = s c_j - sum_{i > j} x_i L_ij.
     """
-    if not A:
-        return []
-    n = len(A[0])
-    _, V, pivots = _echelon(A, n)
-    return [tuple(row[j] for row in V) for j in range(len(pivots), n)]
-
-
-def diagonalize(A):
-    """Integer diagonal form (D, V): U A V = D for some unimodular U and V.
-
-    Column and row echelon forms alternate until D is diagonal (not
-    necessarily with the Smith divisibility chain, which nothing here
-    needs).  The diagonal entries are nonnegative, the nonzero ones first.
-    """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    D, V, _ = _echelon(A, n)
-    while any(x for i, row in enumerate(D) for j, x in enumerate(row) if i != j):
-        # row operations: the column echelon form of the transpose
-        R = list(zip(*_echelon(list(zip(*D)), m)[0]))
-        D, W, _ = _echelon(R, n)
-        V = [[dot(row, col) for col in zip(*W)] for row in V]
-    return D, V
+    t = len(L)
+    x = [0] * t
+    for j in range(t - 1, -1, -1):
+        x[j] = (s * c[j] - sum(x[i] * L[i][j] for i in range(j + 1, t))) // L[j][j]
+    return x

@@ -248,6 +248,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(64, f"{self.prog}: error: {message}\n")
 
 
+def _cap(text):
+    """argparse type of a cap flag: a non-negative int."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a cap must be >= 0, not {value}")
+    return value
+
+
 def build_parser():
     parser = _Parser(
         prog="idealkit",
@@ -291,7 +302,7 @@ def build_parser():
         if name == "ntf":
             p.add_argument("--kmax", type=int, default=4)
         if name in ("symbolic", "ntf"):
-            p.add_argument("--max-generators", type=int, default=DEFAULT_GENERATOR_CAP,
+            p.add_argument("--max-generators", type=_cap, default=DEFAULT_GENERATOR_CAP,
                            help="cap on the minimal generators of one power")
         if name == "hilbert":
             g = p.add_mutually_exclusive_group()
@@ -300,12 +311,12 @@ def build_parser():
             g.add_argument("--rees", action="store_true",
                            help="treat the input as an ideal file; use its Rees cone")
         if name in ("hilbert", "normal", "closure", "sreesgens"):
-            p.add_argument("--max-lattice-points", type=int,
+            p.add_argument("--max-lattice-points", type=_cap,
                            default=DEFAULT_LATTICE_CAP,
                            help="cap on the parallelepiped lattice points of the "
                                 "cone's pulling triangulation, summed over all simplices")
         if name in ("covers", "prt"):
-            p.add_argument("--max-vertices", type=int, default=DEFAULT_VERTEX_CAP)
+            p.add_argument("--max-vertices", type=_cap, default=DEFAULT_VERTEX_CAP)
     return parser
 
 

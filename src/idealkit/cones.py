@@ -13,16 +13,9 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from math import lcm, prod
+from math import prod
 
-from ._linalg import (
-    diagonalize,
-    dot,
-    independent_rows,
-    kernel_lattice_basis,
-    primitive,
-    rank,
-)
+from ._linalg import _echelon, dot, lower_solve, primitive, rank
 from .core import Monomial, MonomialIdeal, _minimal_vecs
 from .decomposition import irreducible_decomposition, primary_without_embedded
 from .errors import (
@@ -107,24 +100,33 @@ def _maximal(masks):
     return [m for m in masks if not any(m != o and m & o == m for o in masks)]
 
 
-def _dd_pointed(rows, d):
-    """Extreme rays of {x : <a,x> >= 0 for a in rows}; needs rank(rows) == d.
-    Rows are processed starting rows first; a ray's active set is the bit
-    mask of the processed rows, by place in that order, that it is tight on."""
-    sel = independent_rows(rows, need=d)
-    if len(sel) < d:
-        raise ValueError("cone is not pointed (inequality matrix rank deficient)")
-    rows = [rows[i] for i in sel] + [r for i, r in enumerate(rows) if i not in sel]
-    rays = []
-    actives = []
-    for j in range(d):
-        # the ray on every starting facet but row j's, on its positive side
-        rest = rows[:j] + rows[j + 1:d]
-        v = kernel_lattice_basis(rest)[0] if rest else (1,)
-        if dot(rows[j], v) < 0:
-            v = tuple(-x for x in v)
-        rays.append(v)
-        actives.append(((1 << d) - 1) ^ (1 << j))
+def _cone_generators(rows, d):
+    """Generators of {x : <a,x> >= 0 for a in rows} in Z^d.
+
+    Returns the extreme rays of the pointed part, then +-each vector of a
+    lattice basis of the lineality space; together they generate the cone.
+    With A V = H, A the distinct nonzero primitive rows, the lineality basis
+    is the columns of V past the pivots (all of V = I when A is empty).
+    Once +-it is appended to A, the d pivot rows S of A start a double
+    description: S V = L, the pivot rows of H, is lower-triangular, so
+    S (V det L^-1) = det I and each column of V det L^-1 lies on every
+    starting facet but one, on its positive side.  The other rows follow
+    in order; a ray's active set is the bit mask of the processed rows, by
+    place in that order, that it is tight on.
+    """
+    rows = [r for r in dict.fromkeys(primitive(tuple(int(x) for x in r)) for r in rows)
+            if any(r)]
+    H, V, piv = _echelon(rows, d)
+    lin = [tuple(row[j] for row in V) for j in range(len(piv), d)]
+    if lin:
+        lin += [tuple(-x for x in l) for l in lin]
+        rows += lin
+        H, V, piv = _echelon(rows, d)
+    L = [H[i] for i in piv]
+    det = prod(r[k] for k, r in enumerate(L))
+    rays = [primitive(col) for col in zip(*(lower_solve(L, row, det) for row in V))]
+    actives = [((1 << d) - 1) ^ (1 << j) for j in range(d)]
+    rows = [rows[i] for i in piv] + [r for i, r in enumerate(rows) if i not in piv]
 
     for k in range(d, len(rows)):
         vals = [dot(rows[k], r) for r in rays]
@@ -149,24 +151,7 @@ def _dd_pointed(rows, d):
         rays = [rays[i] for i in keep] + new_rays
         actives = ([actives[i] for i in keep]
                    + [_tight(r, rows[:k + 1]) for r in new_rays])
-    return sorted(set(rays))
-
-
-def _cone_generators(rows, d):
-    """Generators of {x : <a,x> >= 0 for a in rows} in Z^d.
-
-    Returns the extreme rays of the pointed part, then +-each vector of a
-    lattice basis of the lineality space; together they generate the cone.
-    """
-    seen = []
-    for r in rows:
-        p = primitive(tuple(int(x) for x in r))
-        if any(p) and p not in seen:
-            seen.append(p)
-    lin = ([tuple(l) for l in kernel_lattice_basis(seen)] if seen
-           else [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)])
-    lin += [tuple(-x for x in l) for l in lin]
-    return (_dd_pointed(seen + lin, d) if seen else []) + lin
+    return sorted(set(rays)) + lin
 
 
 def dual_description(cone: RationalCone) -> RationalCone:
@@ -303,31 +288,32 @@ def _parallelepiped_points(rays, budget):
     """Lattice points of {sum lambda_i r_i : 0 <= lambda_i < 1} for linearly
     independent integer rays.  Returns (points including 0, lattice index).
 
-    With U A V = D for the ray matrix A (columns are rays) and some
-    unimodular U, the points are A frac(V c / D) for c in the box of D,
-    computed in integers over the common denominator L = lcm(D).
+    With R V = H for the ray matrix R (rows are rays), the first t columns
+    of H are a lower-triangular L and R = L W, where W, the first t rows of
+    V^-1, is a basis of the lattice points of the rays' span.  So the points
+    are c W with lambda = c L^-1 in [0, 1)^t, one per class of Z^t modulo
+    the rows of L; the box 0 <= c_k < L_kk holds one of each, and the index
+    is det L.  lambda, scaled by the index, is one ``lower_solve`` reduced
+    modulo the index.
     """
     t = len(rays)
-    d = len(rays[0])
-    A = [[rays[j][i] for j in range(t)] for i in range(d)]  # columns are rays
-    D, V = diagonalize(A)
-    diag = [D[k][k] for k in range(t)]
-    if any(x == 0 for x in diag):
+    H, _, piv = _echelon(rays, len(rays[0]))
+    if len(piv) < t:
         raise ValueError("parallelepiped rays are linearly dependent")
+    L = [row[:t] for row in H]
+    diag = [L[k][k] for k in range(t)]
     index = prod(diag)
     if index > budget:
         raise ResourceCapError(
             f"parallelepiped holds {index} lattice points, over the remaining "
             f"budget of {budget}; raise max_lattice_points to proceed")
-    L = lcm(*diag)
-    # lambda = V c / D, scaled by L: column k of V times L / diag[k]
-    VL = [[V[j][k] * (L // diag[k]) for k in range(t)] for j in range(t)]
+    cols = list(zip(*rays))
     points = []
-    for combo in itertools.product(*(range(x) for x in diag)):
-        lam = [dot(row, combo) % L for row in VL]
+    for c in itertools.product(*(range(x) for x in diag)):
+        lam = [x % index for x in lower_solve(L, c, index)]
         z = []
-        for row in A:
-            q, r = divmod(dot(row, lam), L)
+        for col in cols:
+            q, r = divmod(dot(col, lam), index)
             if r:
                 raise ArithmeticError("parallelepiped point is not integral")
             z.append(q)

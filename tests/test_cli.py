@@ -236,9 +236,15 @@ def test_parser_state_does_not_leak_between_calls(capsys, monkeypatch, pair):
         assert "k=1" in got[1][1] and "k=2" not in got[1][1]
 
 
-@pytest.mark.parametrize("argv", [["symbolic", "--k", "three", _EX2_10],
-                                  ["decompose", "--bogus", _EX3_16], []],
-                         ids=["bad_value", "unknown_flag", "no_command"])
+@pytest.mark.parametrize("argv", [
+    ["symbolic", "--k", "three", _EX2_10],
+    ["decompose", "--bogus", _EX3_16],
+    [],
+    ["hilbert", "--max-lattice-points", "-1", str(FIXTURES / "wedge.cone")],
+    ["covers", "--max-vertices", "-1", str(FIXTURES / "fig1.digraph")],
+    ["symbolic", "--max-generators", "-1", _EX2_10],
+], ids=["bad_value", "unknown_flag", "no_command", "negative_lattice_cap",
+        "negative_vertex_cap", "negative_generator_cap"])
 def test_usage_errors_exit_64(capsys, argv):
     # 64 is EX_USAGE of sysexits.h; 2 stays reserved for resource caps
     with pytest.raises(SystemExit) as exc:

@@ -36,7 +36,7 @@ from idealkit import (
     symbolic_rees_generators,
     symbolic_vs_ordinary_certificate,
 )
-from idealkit._linalg import dot, independent_rows
+from idealkit._linalg import dot
 from idealkit.cones import _parallelepiped_points, _pulling_triangulation
 from idealkit.formats import parse_ideal_file
 
@@ -44,7 +44,9 @@ from oracles import (
     box_vectors,
     closure_member_by_powers,
     frac_solve,
+    independent_rows_reference,
     integral_closure_by_box,
+    minors_gcd,
     pulling_triangulation_by_rank,
     random_ideal,
     random_no_embedded_ideal,
@@ -311,7 +313,7 @@ def _parallelepiped_brute_force(rays):
     lie in [0, 1)."""
     t, d = len(rays), len(rays[0])
     cols = [[r[i] for r in rays] for i in range(d)]
-    sel = independent_rows(cols, need=t)
+    sel = independent_rows_reference(cols, need=t)
     square = [cols[i] for i in sel]
     ranges = [range(sum(min(0, r[i]) for r in rays),
                     sum(max(0, r[i]) for r in rays) + 1) for i in range(d)]
@@ -332,7 +334,7 @@ def test_parallelepiped_points_match_brute_force():
         d = rng.randint(1, 4)
         t = rng.randint(1, d)
         rays = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(t)]
-        if len(independent_rows(rays)) < t:
+        if len(independent_rows_reference(rays)) < t:
             continue
         seen_dims.add((t, d))
         pts, index = _parallelepiped_points(rays, 10**6)
@@ -340,6 +342,46 @@ def test_parallelepiped_points_match_brute_force():
         assert len(pts) == len(set(pts)) == index == len(want)
         assert set(pts) == want
     assert any(t < d for t, d in seen_dims)
+
+
+def test_parallelepiped_points_at_larger_sizes():
+    # beyond the brute force: the index is the gcd of the maximal minors, the
+    # points are index distinct lattice points, and each one's coordinates in
+    # the ray basis, solved on an independent square subsystem, lie in [0, 1)
+    rng = random.Random(2206)
+    checked, big, full = 0, 0, 0
+    while checked < 200:
+        d = rng.randint(5, 7)
+        t = rng.randint(1, d)
+        rays = [tuple(0 if rng.random() < 0.6 else rng.randint(-6, 6)
+                      for _ in range(d)) for _ in range(t)]
+        if rank_reference(rays) < t:
+            continue
+        want = minors_gcd(rays, t)
+        if want > 1000:  # keeps the oracle's work small
+            continue
+        checked += 1
+        big += want > 100
+        full += t == d
+        pts, index = _parallelepiped_points(rays, want)
+        assert index == want and len(pts) == len(set(pts)) == index, rays
+        cols = list(zip(*rays))
+        sel = independent_rows_reference(cols, need=t)
+        square_t = [[rays[j][i] for i in sel] for j in range(t)]
+        # lambda S = z restricted to sel, so lambda = (S^T)^-1 z[sel]
+        inv_cols = [frac_solve([list(r) for r in zip(*square_t)],
+                               [int(k == m) for m in range(t)]) for k in range(t)]
+        for z in pts:
+            lam = [sum(z[i] * inv_cols[k][j] for k, i in enumerate(sel))
+                   for j in range(t)]
+            assert all(0 <= x < 1 for x in lam), (rays, z)
+            assert all(sum(x * c for x, c in zip(lam, col)) == zi
+                       for col, zi in zip(cols, z)), (rays, z)
+        with pytest.raises(ResourceCapError, match=(
+                f"^parallelepiped holds {index} lattice points, over the remaining "
+                f"budget of {index - 1}; raise max_lattice_points to proceed$")):
+            _parallelepiped_points(rays, index - 1)
+    assert big >= 5 and full >= 3
 
 
 def test_pulling_triangulation_covers_the_cone():

@@ -2,17 +2,11 @@
 
 import random
 
-from idealkit._linalg import (
-    _echelon,
-    diagonalize,
-    dot,
-    independent_rows,
-    kernel_lattice_basis,
-    rank,
-)
+from idealkit._linalg import _echelon, dot, lower_solve, rank
 
 from oracles import (
     det_reference,
+    frac_solve,
     independent_rows_reference,
     minors_gcd,
     rank_reference,
@@ -73,9 +67,6 @@ def test_dot_matches_definition():
 
 def test_empty_matrix():
     assert rank([]) == 0
-    assert independent_rows([]) == []
-    assert kernel_lattice_basis([]) == []
-    assert diagonalize([]) == ([], [])
 
 
 def test_echelon_is_a_reduced_column_hermite_form():
@@ -100,9 +91,12 @@ def test_rank_and_independent_rows_match_rational_reference():
         r = rank_reference(A)
         deficient += r < min(len(A), len(A[0]))
         assert rank(A) == r, A
-        assert independent_rows(A) == independent_rows_reference(A), A
+        # the pivot rows are the greedy independent rows: the double
+        # description starts from the first d of them
+        pivots = _echelon(A, len(A[0]))[2]
+        assert pivots == independent_rows_reference(A), A
         for need in range(1, r + 2):
-            assert (independent_rows(A, need=need)
+            assert (pivots[:need]
                     == independent_rows_reference(A, need=need)), (A, need)
     assert deficient > 40
 
@@ -110,7 +104,9 @@ def test_rank_and_independent_rows_match_rational_reference():
 def test_kernel_lattice_basis_is_saturated_kernel():
     for A in _matrices(12):
         n = len(A[0])
-        basis = kernel_lattice_basis(A)
+        _, V, pivots = _echelon(A, n)
+        # the columns of V past the pivots: the lineality basis of a cone
+        basis = [tuple(row[j] for row in V) for j in range(len(pivots), n)]
         assert len(basis) == n - rank_reference(A), A
         assert all(len(v) == n and not any(dot(row, v) for row in A)
                    for v in basis), A
@@ -119,19 +115,17 @@ def test_kernel_lattice_basis_is_saturated_kernel():
             assert minors_gcd(basis, len(basis)) == 1, A
 
 
-def test_diagonalize_is_an_equivalent_diagonal_form():
-    for A in _matrices(13, count=120):
-        m, n = len(A), len(A[0])
-        D, V = diagonalize(A)
-        assert len(D) == m and all(len(row) == n for row in D)
-        assert all(D[i][j] == 0 for i in range(m) for j in range(n) if i != j), A
-        diag = [D[k][k] for k in range(min(m, n))]
-        r = rank_reference(A)
-        assert all(x > 0 for x in diag[:r]) and not any(diag[r:]), A
-        assert abs(det_reference(V)) == 1, A
-        product = 1
-        for x in diag[:r]:
-            product *= x
-        assert product == minors_gcd(A, r), A
-        # equal determinantal divisors: U A V = D for a unimodular U
-        assert all(minors_gcd(D, j) == minors_gcd(A, j) for j in range(1, r)), A
+def test_lower_solve_matches_rational_solve():
+    rng = random.Random(14)
+    for t in range(1, 8):
+        for _ in range(40):
+            L = [[rng.randint(-9, 9) for _ in range(i)] + [rng.randint(1, 6)]
+                 + [0] * (t - i - 1) for i in range(t)]
+            det = 1
+            for i in range(t):
+                det *= L[i][i]
+            c = [rng.randint(-20, 20) for _ in range(t)]
+            LT = [list(col) for col in zip(*L)]
+            for s in (det, 3 * det):
+                # x L = s c, i.e. L^T x = s c
+                assert lower_solve(L, c, s) == frac_solve(LT, [s * x for x in c]), (L, c, s)

@@ -184,6 +184,31 @@ def test_cone_facets_are_picked_by_inclusion():
     # HilbertBasis.as_set holds vectors, not indices
     assert frozenset_builders == ["as_set"]
 
+
+def test_every_linalg_routine_has_a_caller():
+    # _linalg is only what the cone kernel calls: a routine that no other
+    # function of the package calls is dead linear algebra
+    defs = [node.name for node in ast.parse((SRC / "_linalg.py").read_text()).body
+            if isinstance(node, ast.FunctionDef)]
+    called = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(fn, ast.FunctionDef):
+                called |= {name for name in defs
+                           if name != fn.name and any(_calls(fn, name))}
+    assert [name for name in defs if name not in called] == []
+
+
+def test_cone_kernel_eliminates_through_one_hermite_form():
+    # the double description's start and lineality, and each simplex's
+    # lattice points, are read off _echelon's column Hermite form; no other
+    # cone routine eliminates except through rank
+    tree = ast.parse((SRC / "cones.py").read_text())
+    callers = {fn.name for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) and any(_calls(fn, "_echelon"))}
+    assert callers == {"_cone_generators", "_parallelepiped_points"}
+
+
 def test_symbolic_imports_only_core_and_decomposition():
     # symbolic powers are products, localizations and intersections of I^k
     # at primes of the decomposition; the cone criterion lives in cones
