@@ -16,8 +16,9 @@ subtraction, and increasing word order is the canonical generator order.
 The symbolic-power chain (``_power_chain``) keeps one layout for all of its
 steps: lo = 0 and fields wide enough for max(ks) times the largest exponent.
 Powers of I are word sums, localization at a prime is one AND with the mask
-of the prime's fields, intersections fold the lcm mask, and only the ideals
-it yields are unpacked.
+of the prime's fields, intersections keep each side's words that the other
+side contains and fold the lcm mask over the rest, and only the ideals it
+yields are unpacked.
 """
 
 from __future__ import annotations
@@ -111,21 +112,41 @@ def _minimal_words(words, G):
 
 
 def _lcm_words(A, B, G, w):
-    """Minimal pairwise lcms of two word lists in one layout.
+    """Minimal generators of (A) ∩ (B), for minimal word lists A and B in one
+    layout and in increasing word order.
 
-    t = ((a | G) - b) & G holds the guard bit of each field where
-    a_i >= b_i, and m = t - (t >> (w - 1)) fills those fields below the
-    guard, so a & m | b & ~m is the packed lcm.
+    A word of A that some word of B divides is its own lcm with that word,
+    and divides its lcm with every other, so it is a generator of the
+    intersection as it stands; the same holds for B against A.  Only the
+    pairs of words that the other side lacks need an lcm: t = ((a | G) - b)
+    & G holds the guard bit of each field where a_i >= b_i, and
+    m = t - (t >> (w - 1)) fills those fields below the guard, so
+    a & m | b & ~m is the packed lcm.  The membership scan stops at the
+    first word past the one tested, since word order extends divisibility.
     """
     low = w - 1
-    lcms = []
-    for a in A:
+    kept, lack = [], []
+    for X, Y in ((A, B), (B, A)):
+        out = []
+        for x in X:
+            xg = x | G
+            for y in Y:
+                if y > x:
+                    out.append(x)
+                    break
+                if (xg - y) & G == G:
+                    kept.append(x)
+                    break
+            else:
+                out.append(x)
+        lack.append(out)
+    for a in lack[0]:
         ag = a | G
-        for b in B:
+        for b in lack[1]:
             t = (ag - b) & G
             m = t - (t >> low)
-            lcms.append(a & m | b & ~m)
-    return _minimal_words(lcms, G)
+            kept.append(a & m | b & ~m)
+    return _minimal_words(kept, G)
 
 
 def _lcm_fold(words, G, w):
@@ -407,8 +428,8 @@ class MonomialIdeal:
         return out
 
     def intersect(self, other):
-        """Intersection ideal, generated by the pairwise lcms (``_lcm_words``
-        on both operands packed in one layout)."""
+        """Intersection ideal, by ``_lcm_words`` on both operands packed in
+        one layout."""
         _same_context(self, other)
         A, B = self.exponents, other.exponents
         if not A or not B:

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's own algorithms: membership
 is decided by enumeration, localization by iterated colon (saturation),
-covers by brute force, semigroup membership by bounded coefficient search.
+intersection by pairwise lcms, covers by brute force, semigroup membership
+by bounded coefficient search.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from idealkit import (
     PolyContext,
     WeightedDigraph,
     dual_description,
-    intersect_all,
     rees_cone,
 )
 from idealkit._linalg import dot
@@ -79,10 +79,10 @@ def minimal_primes_reference(I: MonomialIdeal):
 
 def symbolic_power_reference(I: MonomialIdeal, k) -> MonomialIdeal:
     """I^(k) by localization: I^k saturated at each minimal prime and
-    intersected."""
+    intersected by ``intersect_reference``."""
     Ik = I ** k
-    return intersect_all([saturation_localize(Ik, p)
-                          for p in minimal_primes_reference(I)])
+    return intersect_reference([saturation_localize(Ik, p)
+                                for p in minimal_primes_reference(I)])
 
 
 def closure_member_by_powers(I: MonomialIdeal, vec, kmax=6):
@@ -398,6 +398,18 @@ def minimalize_reference(vecs):
                         if not any(w != v and _divides(w, v) for w in vecs)))
 
 
+def intersect_reference(ideals):
+    """Intersection of a nonempty list of ideals in one context, by the
+    definition: a left fold of the lcms of every pair of exponent vectors,
+    minimalized by ``minimalize_reference``."""
+    ideals = list(ideals)
+    vecs = ideals[0].exponents
+    for J in ideals[1:]:
+        vecs = minimalize_reference([tuple(map(max, a, b))
+                                     for a in vecs for b in J.exponents])
+    return MonomialIdeal(ideals[0].context, vecs)
+
+
 def powers_contain(c, o):
     """Irreducible containment o <= c, both as (variable, exponent) tuples."""
     mine = dict(c)
@@ -439,8 +451,8 @@ def splitting_decomposition_reference(I: MonomialIdeal):
 
 def intersect_irreducibles_reference(comps):
     """The intersection of irreducible ideals as the plain left fold of
-    pairwise intersections of their ideals."""
-    return intersect_all([c.as_ideal() for c in comps])
+    pairwise intersections of their ideals (``intersect_reference``)."""
+    return intersect_reference([c.as_ideal() for c in comps])
 
 
 def cover_partition_reference(D, subset):

@@ -351,6 +351,25 @@ def test_packed_products_and_intersections_match_pairwise_reference():
                 [tuple(map(sum, zip(a, m.exponents))) for a in I.exponents])
 
 
+def test_intersections_of_related_operands_match_pairwise_reference():
+    # operands where each side holds many words of the other or lies inside
+    # it, so that words are kept without an lcm, next to the pairs that
+    # need one: nested, equal, sharing most generators, zero and unit
+    rng = random.Random(2323)
+    for trial in range(200):
+        n = trial % 5 + 1
+        ctx = PolyContext.default(n)
+        I = random_ideal(rng, n=n, max_exp=4, max_gens=8)
+        extra = random_ideal(rng, n=n, max_exp=4, max_gens=3)
+        m = Monomial(ctx, tuple(rng.randint(0, 2) for _ in range(n)))
+        most = rng.sample(I.exponents, max(1, len(I.exponents) - 1))
+        shared = MonomialIdeal.from_generators(ctx, most + list(extra.exponents))
+        zero, unit = MonomialIdeal(ctx, ()), MonomialIdeal(ctx, ((0,) * n,))
+        for J in (I + extra, I * m, I, shared, zero, unit):
+            for X, Y in ((I, J), (J, I)):
+                assert (X & Y).exponents == _pairwise(max, X, Y), (X, Y)
+
+
 def _assert_canonical(J):
     again = MonomialIdeal(J.context, J.exponents)
     assert again == J and hash(again) == hash(J) and repr(again) == repr(J)

@@ -37,6 +37,7 @@ from idealkit.core import _unpack
 from idealkit.formats import parse_ideal_file
 
 from oracles import (
+    minimal_primes_reference,
     random_ideal,
     random_no_embedded_ideal,
     saturation_localize,
@@ -184,6 +185,40 @@ def test_symbolic_powers_matches_saturation_oracle():
             assert [sym for _, _, sym in got] == want, (label, variant)
             assert list(symbolic_powers(I, {4, 2}, variant)) == [got[1], got[3]]
     assert 0 < embedded < len(cases)
+
+
+def test_symbolic_powers_of_edge_ideals_with_many_primes():
+    # I is squarefree, so I^(k) is the intersection of P^k over its minimal
+    # primes P: x^g lies in it iff g weighs at least k on every P.  Each
+    # generator must meet every bound and fail one once any positive entry
+    # drops by one, and I^k must lie inside.  Seeded edge ideals with 15-60
+    # minimal primes; k = 3 and the saturation oracle where they are cheap
+    rng = random.Random(2)
+    counts = []
+    for n, m in ((10, 8), (11, 12), (13, 20), (15, 22), (16, 24)):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        while True:
+            I = MonomialIdeal.from_generators(
+                PolyContext.default(n),
+                [tuple(int(v in e) for v in range(n)) for e in rng.sample(pairs, m)])
+            primes = minimal_primes_reference(I)
+            if 15 <= len(primes) <= 60:
+                break
+        counts.append(len(primes))
+        for k, ordinary, S in symbolic_powers(I, (2, 3) if m <= 12 else (2,)):
+            def inside(g):
+                return all(sum(g[i] for i in p.variables) >= k for p in primes)
+
+            for g in S.exponents:
+                assert inside(g), (I, k, g)
+                assert not any(e and inside(g[:i] + (e - 1,) + g[i + 1:])
+                               for i, e in enumerate(g)), (I, k, g)
+            assert ordinary == I ** k
+            assert all(any(all(x <= y for x, y in zip(s, a)) for s in S.exponents)
+                       for a in ordinary.exponents), (I, k)
+            if m == 8 and k == 2:
+                assert S == symbolic_power_reference(I, k)
+    assert max(counts) >= 40
 
 
 def test_requested_powers_are_not_materialized(ex2_10_ideal):
