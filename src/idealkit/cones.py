@@ -100,6 +100,23 @@ def _maximal(masks):
     return [m for m in masks if not any(m != o and m & o == m for o in masks)]
 
 
+def _irredundant(vecs, others):
+    """The vectors of ``vecs`` whose tight set over ``others`` holds every
+    index or is inclusion-maximal among the rest.
+
+    Against generators of the dual cone, a vector tight on all of them lies
+    in the lineality space, and the maximal tight sets of the rest belong to
+    the minimal faces above it: for a pointed cone, the extreme rays (the
+    +-lineality rows of a lower-dimensional cone's dual are in every set).
+    Against the rays of a full-dimensional pointed cone, the valid
+    inequalities kept are its facets.
+    """
+    full = (1 << len(others)) - 1
+    tight = [_tight(v, others) for v in vecs]
+    kept = set(_maximal([g for g in tight if g != full]))
+    return [v for v, g in zip(vecs, tight) if g == full or g in kept]
+
+
 def _cone_generators(rows, d):
     """Generators of {x : <a,x> >= 0 for a in rows} in Z^d.
 
@@ -157,25 +174,33 @@ def _cone_generators(rows, d):
 def dual_description(cone: RationalCone) -> RationalCone:
     """Return the cone with both representations populated.
 
-    From rays, the inequalities are the generators of the dual cone; from
-    inequalities, the rays are the cone's generators (extreme rays, plus a
-    +-lineality pair when the cone contains a line).  Starting from rays,
-    one conversion each way normalizes the ray list to the extreme rays.
+    From inequalities, the rays are the cone's generators (extreme rays,
+    plus a +-lineality pair when the cone contains a line), and the
+    inequalities come back as given.  From rays, one conversion gives the
+    inequalities, the generators of the dual cone, and the rays kept are
+    ``_irredundant`` over them.  For a pointed cone those are exactly the
+    extreme rays.  For a cone that contains a line they are a generating
+    subset of the given rays: every ray of the lineality space, and the
+    rays on the minimal faces above it.
     """
     if cone.rays is not None and cone.inequalities is not None:
         return cone
     d = cone.dim
-    ineqs = cone.inequalities
-    if ineqs is None:
-        ineqs = _cone_generators(cone.rays, d)
-    return RationalCone(d, rays=tuple(_cone_generators(ineqs, d)),
+    if cone.inequalities is not None:
+        return RationalCone(d, rays=tuple(_cone_generators(cone.inequalities, d)),
+                            inequalities=cone.inequalities)
+    ineqs = _cone_generators(cone.rays, d)
+    return RationalCone(d, rays=tuple(_irredundant(cone.rays, ineqs)),
                         inequalities=tuple(ineqs))
 
 
 def is_pointed(cone: RationalCone) -> bool:
-    if cone.inequalities is None:
-        cone = dual_description(cone)
-    return bool(cone.inequalities) and rank(list(cone.inequalities)) == cone.dim
+    """True iff the cone contains no line.  Its lineality space is a face,
+    so unless it is zero it holds a generator, and a generator lies in it
+    iff it is tight on every inequality."""
+    cone = dual_description(cone)
+    return not any(all(dot(h, r) == 0 for h in cone.inequalities)
+                   for r in cone.rays)
 
 
 def cones_equal(c1: RationalCone, c2: RationalCone) -> bool:
@@ -215,19 +240,18 @@ def _simis_cone(cones, d):
 
     The union of their inequalities cuts out the intersection; one
     conversion gives its extreme rays, and the inequalities kept are the
-    facets, those whose tight sets (the rays they vanish on) are
-    inclusion-maximal.  The Simis cone holds e_1..e_n and a point at level
-    1, and lies in the nonnegative orthant, so it is full-dimensional and
-    pointed: every facet appears among the inequalities, no nonzero valid
-    inequality is tight on every ray, and any other inequality is tight on
-    a face that lies strictly inside some facet.
+    facets, ``_irredundant`` over those rays: those whose tight sets (the
+    rays they vanish on) are inclusion-maximal.  The Simis cone holds
+    e_1..e_n and a point at level 1, and lies in the nonnegative orthant,
+    so it is full-dimensional and pointed: every facet appears among the
+    inequalities, no nonzero valid inequality is tight on every ray, and
+    any other inequality is tight on a face that lies strictly inside some
+    facet.
     """
     ineqs = _canonical_vectors(h for c in cones for h in c.inequalities)
     rays = _cone_generators(ineqs, d)
-    tight = [_tight(h, rays) for h in ineqs]
-    facets = set(_maximal(tight))
-    return RationalCone(d, rays=tuple(rays), inequalities=tuple(
-        h for h, g in zip(ineqs, tight) if g in facets))
+    return RationalCone(d, rays=tuple(rays),
+                        inequalities=tuple(_irredundant(ineqs, rays)))
 
 
 # ---------------------------------------------------------------------------

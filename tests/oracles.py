@@ -19,11 +19,13 @@ from idealkit import (
     MonomialIdeal,
     MonomialPrime,
     PolyContext,
+    RationalCone,
     WeightedDigraph,
     dual_description,
     rees_cone,
 )
 from idealkit._linalg import dot
+from idealkit.cones import _cone_generators
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +355,39 @@ def random_pointed_cone(rng, max_dim=4, max_entry=5):
     if not rays:
         rays = {tuple(1 for _ in range(d))}
     return RationalCone(d, rays=tuple(rays))
+
+
+def dual_description_reference(cone):
+    """Both representations of a cone given by rays, by a double
+    description each way: rays to inequalities, then those inequalities
+    back to the generators of the cone they cut out (its extreme rays, plus
+    +-a lineality basis when it contains a line).  This is the path
+    ``dual_description`` took before it picked the extreme rays by
+    incidence.
+    """
+    ineqs = _cone_generators(cone.rays, cone.dim)
+    return RationalCone(cone.dim, rays=tuple(_cone_generators(ineqs, cone.dim)),
+                        inequalities=tuple(ineqs))
+
+
+def random_mixed_cone(rng, max_dim=6, max_entry=3):
+    """Random cone given by mixed-sign rays in Z^d, 2 <= d <= max_dim.
+
+    About a quarter of the cones are projected into a random subspace of
+    lower dimension, and about a quarter get the negative of one of their
+    rays, so that they contain a line.
+    """
+    d = rng.randint(2, max_dim)
+    rays = [[rng.randint(-max_entry + 1, max_entry) for _ in range(d)]
+            for _ in range(rng.randint(1, d + 4))]
+    if rng.random() < 0.25:
+        k = rng.randint(1, d - 1)
+        basis = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(k)]
+        rays = [[sum(c * b[j] for c, b in zip(r, basis)) for j in range(d)]
+                for r in rays]
+    if rng.random() < 0.25:
+        rays.append([-x for x in rng.choice(rays)])
+    return RationalCone(d, rays=tuple(tuple(r) for r in rays))
 
 
 def pulling_triangulation_by_rank(rays, ineqs):

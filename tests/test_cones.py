@@ -43,12 +43,14 @@ from idealkit.formats import parse_ideal_file
 from oracles import (
     box_vectors,
     closure_member_by_powers,
+    dual_description_reference,
     frac_solve,
     independent_rows_reference,
     integral_closure_by_box,
     minors_gcd,
     pulling_triangulation_by_rank,
     random_ideal,
+    random_mixed_cone,
     random_no_embedded_ideal,
     random_pointed_cone,
     random_sparse_ideal,
@@ -114,6 +116,31 @@ def test_roundtrip_reproduces_extreme_rays():
         assert set(back.rays) == set(both.rays)
         # and every original generator still lies inside
         assert all(both.contains(r) for r in cone.rays)
+
+
+def test_dual_description_matches_two_conversion_reference():
+    # one conversion plus the incidence rule against the old path of two
+    # conversions: the same rays and inequalities on a pointed cone; on a
+    # cone with a line the same cone, on a subset of its own rays that holds
+    # every ray of the lineality space
+    rng = random.Random(1996)
+    n_pointed = 0
+    for _ in range(2000):
+        cone = random_mixed_cone(rng)
+        got = dual_description(cone)
+        ref = dual_description_reference(cone)
+        assert got.inequalities == ref.inequalities
+        pointed = rank_reference(ref.inequalities) == cone.dim
+        assert is_pointed(got) == pointed
+        if pointed:
+            n_pointed += 1
+            assert got.rays == ref.rays
+            continue
+        assert cones_equal(got, ref)
+        assert set(got.rays) <= set(cone.rays)
+        assert {r for r in cone.rays
+                if all(dot(h, r) == 0 for h in got.inequalities)} <= set(got.rays)
+    assert 1000 < n_pointed < 2000
 
 
 def test_dual_description_membership_matches_caratheodory_oracle():
@@ -205,8 +232,9 @@ def test_simis_inequalities_are_exactly_the_facets():
 
 
 def test_one_conversion_per_cone(ex2_10_ideal, monkeypatch):
-    # ex2.10 has four primary components; each Rees cone costs two
-    # conversions (rays to inequalities and back), the Simis cone one
+    # ex2.10 has four primary components; each Rees cone costs one
+    # conversion (rays to inequalities; its extreme rays are picked by
+    # incidence), the Simis cone one
     calls = []
     original = idealkit.cones._cone_generators
 
@@ -227,8 +255,8 @@ def test_one_conversion_per_cone(ex2_10_ideal, monkeypatch):
         calls.clear()
         job()
         counts[name] = len(calls)
-    assert counts == {"symbolic_rees_generators": 9, "certificate": 11,
-                      "simis_cone": 9, "check_symbolic_rees_normal": 8}
+    assert counts == {"symbolic_rees_generators": 5, "certificate": 6,
+                      "simis_cone": 5, "check_symbolic_rees_normal": 4}
 
 
 def test_cones_equal_basics(ex2_10_ideal):

@@ -172,17 +172,30 @@ def test_canonical_form_is_made_in_core_alone():
 
 def test_cone_facets_are_picked_by_inclusion():
     # the cone kernel holds incidence sets as int bit masks and picks facets
-    # as the inclusion-maximal tight sets: rank decides pointedness and the
-    # triangulation's starting dimension, never a face or an inequality
+    # as the inclusion-maximal tight sets: rank decides only the
+    # triangulation's starting dimension, never pointedness, a face or an
+    # inequality
     tree = ast.parse((SRC / "cones.py").read_text())
     rank_callers, frozenset_builders = [], []
     for fn in ast.walk(tree):
         if isinstance(fn, ast.FunctionDef):
             rank_callers += [fn.name for _ in _calls(fn, "rank")]
             frozenset_builders += [fn.name for _ in _calls(fn, "frozenset")]
-    assert sorted(rank_callers) == ["_pulling_triangulation", "is_pointed"]
+    assert sorted(rank_callers) == ["_pulling_triangulation"]
     # HilbertBasis.as_set holds vectors, not indices
     assert frozenset_builders == ["as_set"]
+
+
+def test_extreme_rays_and_facets_share_one_incidence_rule():
+    # a rays-given cone's extreme rays and the Simis cone's facets are both
+    # picked by _irredundant; the only other inclusion-maximal pick is the
+    # triangulation's facets of a face
+    tree = ast.parse((SRC / "cones.py").read_text())
+    callers = {name: sorted(fn.name for fn in ast.walk(tree)
+                            if isinstance(fn, ast.FunctionDef) and any(_calls(fn, name)))
+               for name in ("_maximal", "_irredundant")}
+    assert callers == {"_maximal": ["_irredundant", "_pulling_triangulation"],
+                       "_irredundant": ["_simis_cone", "dual_description"]}
 
 
 def test_every_linalg_routine_has_a_caller():
