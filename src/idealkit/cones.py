@@ -95,21 +95,25 @@ def _tight(h, vecs):
 
 
 def _maximal(masks):
-    """The inclusion-maximal masks, each once, in order of first occurrence."""
+    """The inclusion-maximal masks, each once, in order of first occurrence.
+    By falling bit count, a mask is kept unless a kept mask holds it."""
     masks = list(dict.fromkeys(masks))
-    return [m for m in masks if not any(m != o and m & o == m for o in masks)]
+    kept = set()
+    for m in sorted(masks, key=int.bit_count, reverse=True):
+        if not any(m & o == m for o in kept):
+            kept.add(m)
+    return [m for m in masks if m in kept]
 
 
 def _irredundant(vecs, others):
     """The vectors of ``vecs`` whose tight set over ``others`` holds every
     index or is inclusion-maximal among the rest.
 
-    Against generators of the dual cone, a vector tight on all of them lies
-    in the lineality space, and the maximal tight sets of the rest belong to
-    the minimal faces above it: for a pointed cone, the extreme rays (the
-    +-lineality rows of a lower-dimensional cone's dual are in every set).
-    Against the rays of a full-dimensional pointed cone, the valid
-    inequalities kept are its facets.
+    ``vecs`` generate a cone K and ``others`` its dual K*, and the tight
+    set of v is the face of K* that v cuts out: every index iff v lies in
+    the lineality space of K, and a facet of K* iff v lies on a minimal
+    face of K above that space.  ``dual_description`` applies it both ways
+    round, with K the cone or K its dual.
     """
     full = (1 << len(others)) - 1
     tight = [_tight(v, others) for v in vecs]
@@ -122,7 +126,8 @@ def _cone_generators(rows, d):
 
     Returns the extreme rays of the pointed part, then +-each vector of a
     lattice basis of the lineality space; together they generate the cone.
-    With A V = H, A the distinct nonzero primitive rows, the lineality basis
+    The rows A are distinct, nonzero and primitive (a cone's canonical
+    vectors, or this function's output).  With A V = H, the lineality basis
     is the columns of V past the pivots (all of V = I when A is empty).
     Once +-it is appended to A, the d pivot rows S of A start a double
     description: S V = L, the pivot rows of H, is lower-triangular, so
@@ -131,8 +136,7 @@ def _cone_generators(rows, d):
     in order; a ray's active set is the bit mask of the processed rows, by
     place in that order, that it is tight on.
     """
-    rows = [r for r in dict.fromkeys(primitive(tuple(int(x) for x in r)) for r in rows)
-            if any(r)]
+    rows = list(rows)
     H, V, piv = _echelon(rows, d)
     lin = [tuple(row[j] for row in V) for j in range(len(piv), d)]
     if lin:
@@ -174,24 +178,29 @@ def _cone_generators(rows, d):
 def dual_description(cone: RationalCone) -> RationalCone:
     """Return the cone with both representations populated.
 
-    From inequalities, the rays are the cone's generators (extreme rays,
-    plus a +-lineality pair when the cone contains a line), and the
-    inequalities come back as given.  From rays, one conversion gives the
-    inequalities, the generators of the dual cone, and the rays kept are
-    ``_irredundant`` over them.  For a pointed cone those are exactly the
-    extreme rays.  For a cone that contains a line they are a generating
-    subset of the given rays: every ray of the lineality space, and the
-    rays on the minimal faces above it.
+    One conversion gives the generators of the other side, and
+    ``_irredundant`` over them prunes the given vectors.  From rays, the
+    rays kept are the extreme rays of a pointed cone; for a cone that
+    contains a line, a generating subset of the given rays (every ray of
+    the lineality space, and the rays on the minimal faces above it).
+    From inequalities, every facet is the tight face of some given
+    inequality; an implicit equality is tight on every ray, so it is kept;
+    any other is tight on a face strictly inside a facet, so it is dropped.
+    The implicit equalities cut out the cone's span (the negative of each
+    is a nonnegative combination of them, by Farkas) and the facets cut
+    the cone out of it.  A full-dimensional pointed cone keeps exactly its
+    facets.
     """
     if cone.rays is not None and cone.inequalities is not None:
         return cone
     d = cone.dim
-    if cone.inequalities is not None:
-        return RationalCone(d, rays=tuple(_cone_generators(cone.inequalities, d)),
-                            inequalities=cone.inequalities)
-    ineqs = _cone_generators(cone.rays, d)
-    return RationalCone(d, rays=tuple(_irredundant(cone.rays, ineqs)),
-                        inequalities=tuple(ineqs))
+    if cone.inequalities is None:
+        ineqs = _cone_generators(cone.rays, d)
+        rays = _irredundant(cone.rays, ineqs)
+    else:
+        rays = _cone_generators(cone.inequalities, d)
+        ineqs = _irredundant(cone.inequalities, rays)
+    return RationalCone(d, rays=tuple(rays), inequalities=tuple(ineqs))
 
 
 def is_pointed(cone: RationalCone) -> bool:
@@ -236,22 +245,13 @@ def simis_cone(I: MonomialIdeal) -> RationalCone:
 
 def _simis_cone(cones, d):
     """Simis cone in Z^d: the intersection of the Rees cones ``cones``, each
-    already holding both representations.
-
-    The union of their inequalities cuts out the intersection; one
-    conversion gives its extreme rays, and the inequalities kept are the
-    facets, ``_irredundant`` over those rays: those whose tight sets (the
-    rays they vanish on) are inclusion-maximal.  The Simis cone holds
-    e_1..e_n and a point at level 1, and lies in the nonnegative orthant,
-    so it is full-dimensional and pointed: every facet appears among the
-    inequalities, no nonzero valid inequality is tight on every ray, and
-    any other inequality is tight on a face that lies strictly inside some
-    facet.
+    already holding both representations.  The union of their inequalities
+    cuts it out, and ``dual_description`` keeps the facets among them: the
+    Simis cone holds e_1..e_n and a point at level 1 and lies in the
+    nonnegative orthant, so it is full-dimensional and pointed.
     """
-    ineqs = _canonical_vectors(h for c in cones for h in c.inequalities)
-    rays = _cone_generators(ineqs, d)
-    return RationalCone(d, rays=tuple(rays),
-                        inequalities=tuple(_irredundant(ineqs, rays)))
+    return dual_description(RationalCone(
+        d, inequalities=tuple(h for c in cones for h in c.inequalities)))
 
 
 # ---------------------------------------------------------------------------

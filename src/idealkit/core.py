@@ -149,18 +149,6 @@ def _lcm_words(A, B, G, w):
     return _minimal_words(kept, G)
 
 
-def _lcm_fold(words, G, w):
-    """The lcm of a nonempty word list (its column maxima), by the same mask
-    as ``_lcm_words``."""
-    low = w - 1
-    c = words[0]
-    for b in words:
-        t = ((c | G) - b) & G
-        m = t - (t >> low)
-        c = c & m | b & ~m
-    return c
-
-
 def _minimal_vecs(vecs):
     """Divisibility-minimal subset of integer vectors, canonically sorted.
 
@@ -502,7 +490,7 @@ def _power_chain(I, ks, hi, primes, max_generators):
     A product raises ExponentOverflowError exactly when ``MonomialIdeal.__mul__``
     would, that is when a column maximum of the two factors sums past
     MAX_EXPONENT; that is only possible once k times the largest exponent
-    passes it, and the column maxima are then one lcm fold over the words.
+    passes it, and only then are the words unpacked for their column maxima.
     A power with more than ``max_generators`` minimal generators raises
     ResourceCapError.
     """
@@ -521,10 +509,10 @@ def _power_chain(I, ks, hi, primes, max_generators):
     Ik = base
     for k in range(1, hi + 1):
         if k > 1:
-            if k * e > MAX_EXPONENT and any(
-                    x + y > MAX_EXPONENT
-                    for x, y in zip(_unpack(_lcm_fold(Ik, G, w), zeros, w), top)):
-                raise ExponentOverflowError(f"exponent exceeds {MAX_EXPONENT}")
+            if k * e > MAX_EXPONENT:
+                cols = _bounds([_unpack(p, zeros, w) for p in Ik])[1]
+                if any(x + y > MAX_EXPONENT for x, y in zip(cols, top)):
+                    raise ExponentOverflowError(f"exponent exceeds {MAX_EXPONENT}")
             Ik = _minimal_words([a + b for a in Ik for b in base], G)
             if len(Ik) > max_generators:
                 raise ResourceCapError(

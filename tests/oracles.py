@@ -436,12 +436,17 @@ def minimalize_reference(vecs):
 def intersect_reference(ideals):
     """Intersection of a nonempty list of ideals in one context, by the
     definition: a left fold of the lcms of every pair of exponent vectors,
-    minimalized by ``minimalize_reference``."""
+    minimalized.  A proper divisor has a smaller total degree, so in order
+    of degree a candidate is kept iff no kept vector divides it."""
     ideals = list(ideals)
     vecs = ideals[0].exponents
     for J in ideals[1:]:
-        vecs = minimalize_reference([tuple(map(max, a, b))
-                                     for a in vecs for b in J.exponents])
+        kept = []
+        for v in sorted({tuple(map(max, a, b)) for a in vecs for b in J.exponents},
+                        key=sum):
+            if not any(_divides(w, v) for w in kept):
+                kept.append(v)
+        vecs = tuple(sorted(kept))
     return MonomialIdeal(ideals[0].context, vecs)
 
 

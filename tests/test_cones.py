@@ -143,6 +143,35 @@ def test_dual_description_matches_two_conversion_reference():
     assert 1000 < n_pointed < 2000
 
 
+def test_dual_description_prunes_given_inequalities_to_facets():
+    # a cone given by its valid inequalities plus sums of pairs of them:
+    # the same cone, on a subset of the given inequalities that holds every
+    # implicit equality, and exactly the facets (tight on rays of rank
+    # d - 1) of a full-dimensional pointed cone
+    rng = random.Random(1996)
+    n_full_pointed = n_pruned = 0
+    for _ in range(1500):
+        cone = random_mixed_cone(rng)
+        d = cone.dim
+        valid = dual_description(cone).inequalities
+        sums = [tuple(x + y for x, y in zip(rng.choice(valid), rng.choice(valid)))
+                for _ in range(rng.randint(1, 4) if valid else 0)]
+        given = RationalCone(d, inequalities=valid + tuple(sums))
+        got = dual_description(given)
+        assert cones_equal(got, cone)
+        kept = set(got.inequalities)
+        assert kept <= set(given.inequalities)
+        assert {h for h in given.inequalities
+                if all(dot(h, r) == 0 for r in cone.rays)} <= kept
+        n_pruned += len(kept) < len(given.inequalities)
+        if rank_reference(cone.rays) == d and rank_reference(valid) == d:
+            n_full_pointed += 1
+            assert kept == {h for h in given.inequalities
+                            if rank_reference([r for r in cone.rays if dot(h, r) == 0])
+                            == d - 1}
+    assert n_full_pointed > 400 and n_pruned > 500
+
+
 def test_dual_description_membership_matches_caratheodory_oracle():
     # mixed-sign pointed cones: the computed H-representation must decide
     # membership exactly like a direct nonnegative-combination search

@@ -187,15 +187,30 @@ def test_cone_facets_are_picked_by_inclusion():
 
 
 def test_extreme_rays_and_facets_share_one_incidence_rule():
-    # a rays-given cone's extreme rays and the Simis cone's facets are both
-    # picked by _irredundant; the only other inclusion-maximal pick is the
+    # dual_description prunes whichever representation it was given by
+    # _irredundant (extreme rays from rays, facets from inequalities, the
+    # Simis cone's too); the only other inclusion-maximal pick is the
     # triangulation's facets of a face
     tree = ast.parse((SRC / "cones.py").read_text())
     callers = {name: sorted(fn.name for fn in ast.walk(tree)
                             if isinstance(fn, ast.FunctionDef) and any(_calls(fn, name)))
                for name in ("_maximal", "_irredundant")}
     assert callers == {"_maximal": ["_irredundant", "_pulling_triangulation"],
-                       "_irredundant": ["_simis_cone", "dual_description"]}
+                       "_irredundant": ["dual_description"]}
+
+
+def test_cone_vectors_are_made_canonical_in_the_constructor_alone():
+    # RationalCone stores its vectors primitive, distinct and sorted, and
+    # the double description takes them (or its own output) as they are
+    callers = []
+    for path in sorted(SRC.rglob("*.py")):
+        body = ast.parse(path.read_text(), filename=str(path)).body
+        scopes = [(fn.name, fn) for fn in body if isinstance(fn, ast.FunctionDef)]
+        scopes += [(f"{c.name}.{fn.name}", fn) for c in body if isinstance(c, ast.ClassDef)
+                   for fn in c.body if isinstance(fn, ast.FunctionDef)]
+        callers += [f"{path.stem}.{name}" for name, fn in scopes
+                    for _ in _calls(fn, "_canonical_vectors")]
+    assert callers == ["cones.RationalCone.__post_init__"]
 
 
 def test_every_linalg_routine_has_a_caller():

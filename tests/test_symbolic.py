@@ -216,7 +216,7 @@ def test_symbolic_powers_of_edge_ideals_with_many_primes():
             assert ordinary == I ** k
             assert all(any(all(x <= y for x, y in zip(s, a)) for s in S.exponents)
                        for a in ordinary.exponents), (I, k)
-            if m == 8 and k == 2:
+            if m <= 12 and k == 2:
                 assert S == symbolic_power_reference(I, k)
     assert max(counts) >= 40
 
