@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import prod
 
 from ._linalg import _echelon, dot, lower_solve, primitive, rank
-from .core import Monomial, MonomialIdeal, _minimal_vecs
+from .core import Monomial, MonomialIdeal, _built, _minimal_vecs
 from .decomposition import irreducible_decomposition, primary_without_embedded
 from .errors import (
     EmbeddedPrimeError,
@@ -134,7 +134,8 @@ def _cone_generators(rows, d):
     S (V det L^-1) = det I and each column of V det L^-1 lies on every
     starting facet but one, on its positive side.  The other rows follow
     in order; a ray's active set is the bit mask of the processed rows, by
-    place in that order, that it is tight on.
+    place in that order, that it is tight on.  A new ray's is its parents'
+    common set plus row k, as both parents are >= 0 on every processed row.
     """
     rows = list(rows)
     H, V, piv = _echelon(rows, d)
@@ -157,21 +158,19 @@ def _cone_generators(rows, d):
             continue
         pos = [i for i, v in enumerate(vals) if v > 0]
         neg = [i for i, v in enumerate(vals) if v < 0]
-        new_rays = []
+        new = []
         for ip in pos:
             for im in neg:
                 s = actives[ip] & actives[im]  # adjacent: no third set holds s
                 if any(s & act == s for t, act in enumerate(actives)
                        if t != ip and t != im):
                     continue
-                r = primitive(tuple(
+                new.append((primitive(tuple(
                     vals[ip] * x - vals[im] * y
-                    for x, y in zip(rays[im], rays[ip])))
-                new_rays.append(r)
+                    for x, y in zip(rays[im], rays[ip]))), s | 1 << k))
         keep = [i for i, v in enumerate(vals) if v >= 0]
-        rays = [rays[i] for i in keep] + new_rays
-        actives = ([actives[i] for i in keep]
-                   + [_tight(r, rows[:k + 1]) for r in new_rays])
+        rays = [rays[i] for i in keep] + [r for r, _ in new]
+        actives = [actives[i] for i in keep] + [act for _, act in new]
     return sorted(set(rays)) + lin
 
 
@@ -200,7 +199,8 @@ def dual_description(cone: RationalCone) -> RationalCone:
     else:
         rays = _cone_generators(cone.inequalities, d)
         ineqs = _irredundant(cone.inequalities, rays)
-    return RationalCone(d, rays=tuple(rays), inequalities=tuple(ineqs))
+    return _built(RationalCone, dim=d, rays=tuple(sorted(rays)),
+                  inequalities=tuple(sorted(ineqs)))
 
 
 def is_pointed(cone: RationalCone) -> bool:
@@ -232,7 +232,7 @@ def rees_cone(I: MonomialIdeal) -> RationalCone:
     n = I.context.n
     rays = [tuple(1 if j == i else 0 for j in range(n + 1)) for i in range(n)]
     rays += [v + (1,) for v in I.exponents]
-    return RationalCone(n + 1, rays=tuple(rays))
+    return _built(RationalCone, dim=n + 1, rays=tuple(sorted(rays)), inequalities=None)
 
 
 def simis_cone(I: MonomialIdeal) -> RationalCone:

@@ -4,9 +4,9 @@ A :class:`PolyContext` pins the number of variables and their names; every
 monomial and ideal carries its context and cross-context arithmetic is
 rejected.  Ideals are stored as their unique minimal generating set, sorted
 lexicographically by exponent vector, so equal ideals compare equal and
-serialize identically; the public constructor checks that form, and the
-library's own results have it by construction.  All values are immutable
-and all operations are pure functions, safe to share across threads.
+serialize identically.  Public constructors check that form; the library's
+own results, canonical by construction, skip it through ``_built``.  All
+values are immutable and operations pure, safe to share across threads.
 
 Minimalization, products and intersections work on packed exponent words
 (see ``_layout``): each vector becomes one int, so a product of generators
@@ -177,11 +177,12 @@ def _canonical_vecs(n, vecs):
     return kept
 
 
-def _canonical_ideal(context, vecs):
-    """The ideal on canonical ``vecs``, built without the constructor's check."""
-    ideal = object.__new__(MonomialIdeal)
-    ideal.__dict__.update(context=context, exponents=vecs)
-    return ideal
+def _built(cls, **fields):
+    """A value of dataclass ``cls`` on canonical ``fields``, built without
+    the constructor's checks: for the library's own results only."""
+    value = object.__new__(cls)
+    value.__dict__.update(fields)
+    return value
 
 
 def _same_context(a, b):
@@ -340,7 +341,8 @@ class MonomialIdeal:
                 vecs.append(g.exponents)
             else:
                 vecs.append(tuple(map(int, g)))
-        return _canonical_ideal(context, _canonical_vecs(context.n, vecs))
+        return _built(MonomialIdeal, context=context,
+                      exponents=_canonical_vecs(context.n, vecs))
 
     # -- structure ----------------------------------------------------------
     @property
@@ -395,7 +397,7 @@ class MonomialIdeal:
         A = self.exponents
         B = (other.exponents,) if isinstance(other, Monomial) else other.exponents
         if not A or not B:
-            return _canonical_ideal(self.context, ())
+            return _built(MonomialIdeal, context=self.context, exponents=())
         (lo_a, hi_a), (lo_b, hi_b) = _bounds(A), _bounds(B)
         if any(x + y > MAX_EXPONENT for x, y in zip(hi_a, hi_b)):
             raise ExponentOverflowError(f"exponent exceeds {MAX_EXPONENT}")
@@ -404,7 +406,7 @@ class MonomialIdeal:
         PA = [_pack(a, lo_a, w) for a in A]
         PB = [_pack(b, lo_b, w) for b in B]
         prods = [a + b for a in PA for b in PB]
-        return _canonical_ideal(self.context, tuple(
+        return _built(MonomialIdeal, context=self.context, exponents=tuple(
             _unpack(p, lo, w) for p in _minimal_words(prods, G)))
 
     def __pow__(self, k):
@@ -421,12 +423,12 @@ class MonomialIdeal:
         _same_context(self, other)
         A, B = self.exponents, other.exponents
         if not A or not B:
-            return _canonical_ideal(self.context, ())
+            return _built(MonomialIdeal, context=self.context, exponents=())
         lo, hi = _bounds(A + B)
         w, G = _layout(lo, max(map(sub, hi, lo)))
         lcms = _lcm_words([_pack(a, lo, w) for a in A],
                           [_pack(b, lo, w) for b in B], G, w)
-        return _canonical_ideal(self.context, tuple(
+        return _built(MonomialIdeal, context=self.context, exponents=tuple(
             _unpack(p, lo, w) for p in lcms))
 
     def __and__(self, other):
@@ -503,7 +505,8 @@ def _power_chain(I, ks, hi, primes, max_generators):
     masks = [sum(field << w * (n - 1 - i) for i in p.variables) for p in primes]
 
     def unpack(words):
-        return _canonical_ideal(ctx, tuple(_unpack(p, zeros, w) for p in words))
+        return _built(MonomialIdeal, context=ctx,
+                      exponents=tuple(_unpack(p, zeros, w) for p in words))
 
     base = [_pack(v, zeros, w) for v in I.exponents]
     Ik = base

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from .core import (
     MonomialIdeal,
     MonomialPrime,
+    _built,
     _layout,
     _pack,
     _same_context,
@@ -77,7 +78,7 @@ class IrreducibleIdeal:
         return tuple(i for i, _ in self.powers)
 
     def radical(self):
-        return MonomialPrime(self.context, self.variables)
+        return _built(MonomialPrime, context=self.context, variables=self.variables)
 
     def as_ideal(self):
         n = self.context.n
@@ -150,14 +151,6 @@ class Decomposition:
 
 # ---------------------------------------------------------------------------
 # irreducible decomposition, one generator at a time
-
-def _built(cls, **fields):
-    """A component of dataclass ``cls`` on valid, normalized ``fields``,
-    built without the constructor's checks: for the library's own only."""
-    comp = object.__new__(cls)
-    comp.__dict__.update(fields)
-    return comp
-
 
 def _components(n, gens):
     """Irreducible components of the ideal generated by ``gens``, nonzero

@@ -17,8 +17,8 @@ import heapq
 import warnings
 from dataclasses import dataclass
 
-from .core import MonomialIdeal, PolyContext
-from .decomposition import Decomposition, IrreducibleIdeal, _built
+from .core import MonomialIdeal, PolyContext, _built
+from .decomposition import Decomposition, IrreducibleIdeal
 from .errors import DigraphError, HypothesisError, ImproperIdealError, ResourceCapError
 
 DEFAULT_VERTEX_CAP = 20

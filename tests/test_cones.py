@@ -77,6 +77,11 @@ def test_rees_cone_fig1(fig1_ideal):
     assert len(c.rays) == 11  # 5 unit vectors plus 6 lifted generators
     lifted = [r for r in c.rays if r[-1] == 1]
     assert {r[:-1] for r in lifted} == set(fig1_ideal.exponents)
+    # built without the constructor, yet the value it would give
+    for path in sorted(FIXTURES.glob("*.ideal")):
+        rc = rees_cone(parse_ideal_file(path))
+        for c in (rc, dual_description(rc)):
+            assert c == RationalCone(c.dim, rays=c.rays, inequalities=c.inequalities)
 
 
 def test_rees_cone_rejects_improper(ctx3):
@@ -128,6 +133,7 @@ def test_dual_description_matches_two_conversion_reference():
     for _ in range(2000):
         cone = random_mixed_cone(rng)
         got = dual_description(cone)
+        assert got == RationalCone(got.dim, rays=got.rays, inequalities=got.inequalities)
         ref = dual_description_reference(cone)
         assert got.inequalities == ref.inequalities
         pointed = rank_reference(ref.inequalities) == cone.dim
@@ -158,6 +164,7 @@ def test_dual_description_prunes_given_inequalities_to_facets():
                 for _ in range(rng.randint(1, 4) if valid else 0)]
         given = RationalCone(d, inequalities=valid + tuple(sums))
         got = dual_description(given)
+        assert got == RationalCone(got.dim, rays=got.rays, inequalities=got.inequalities)
         assert cones_equal(got, cone)
         kept = set(got.inequalities)
         assert kept <= set(given.inequalities)

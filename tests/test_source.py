@@ -156,9 +156,8 @@ def test_canonical_form_is_made_in_core_alone():
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         if path.name != "core.py":
-            builder += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                        if "_canonical_ideal" in (getattr(node, "id", None),
-                                                  getattr(node, "attr", None))]
+            builder += [f"{path.name}:{node.lineno}" for node in _calls(tree, "_built")
+                        if getattr(node.args[0], "id", None) == "MonomialIdeal"]
             for fn in ast.walk(tree):
                 if isinstance(fn, ast.FunctionDef) and any(_calls(fn, "_minimal_vecs")):
                     callers.add(f"{path.stem}.{fn.name}")
@@ -168,6 +167,20 @@ def test_canonical_form_is_made_in_core_alone():
     assert builder == []
     assert direct == []
     assert callers == {"cones._reduce_generators"}
+
+
+def test_constructors_are_bypassed_in_one_place():
+    # core._built is the library's one way to build a value without its
+    # constructor's checks
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        scopes = {id(node): f"{path.stem}.{fn.name}" for fn in tree.body
+                  if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+        found += [scopes.get(id(node), f"{path.name}:{node.lineno}")
+                  for node in _calls(tree, "__new__")
+                  if getattr(getattr(node.func, "value", None), "id", None) == "object"]
+    assert found == ["core._built"]
 
 
 def test_cone_facets_are_picked_by_inclusion():
@@ -197,6 +210,15 @@ def test_extreme_rays_and_facets_share_one_incidence_rule():
                for name in ("_maximal", "_irredundant")}
     assert callers == {"_maximal": ["_irredundant", "_pulling_triangulation"],
                        "_irredundant": ["dual_description"]}
+
+
+def test_double_description_tracks_active_sets_without_dot_products():
+    # a new double-description ray's active set is its parents' common set
+    # plus the current row, so only the incidence rule and the triangulation
+    # take tight sets by dot products
+    tree = ast.parse((SRC / "cones.py").read_text())
+    assert sorted(fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                  for _ in _calls(fn, "_tight")) == ["_irredundant", "_pulling_triangulation"]
 
 
 def test_cone_vectors_are_made_canonical_in_the_constructor_alone():
