@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import prod
 
 from ._linalg import _echelon, dot, lower_solve, primitive, rank
-from .core import Monomial, MonomialIdeal, _built, _minimal_vecs
+from .core import Monomial, MonomialIdeal, _built, _maximal, _minimal_vecs
 from .decomposition import irreducible_decomposition, primary_without_embedded
 from .errors import (
     EmbeddedPrimeError,
@@ -92,17 +92,6 @@ class RationalCone:
 def _tight(h, vecs):
     """Bit mask of the indices i with <h, vecs[i]> == 0."""
     return sum(1 << i for i, v in enumerate(vecs) if dot(h, v) == 0)
-
-
-def _maximal(masks):
-    """The inclusion-maximal masks, each once, in order of first occurrence.
-    By falling bit count, a mask is kept unless a kept mask holds it."""
-    masks = list(dict.fromkeys(masks))
-    kept = set()
-    for m in sorted(masks, key=int.bit_count, reverse=True):
-        if not any(m & o == m for o in kept):
-            kept.add(m)
-    return [m for m in masks if m in kept]
 
 
 def _irredundant(vecs, others):

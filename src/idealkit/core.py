@@ -162,6 +162,18 @@ def _minimal_vecs(vecs):
     return tuple(by_word[p] for p in _minimal_words(by_word, G))
 
 
+# inclusion among sets held as int bit masks: facets, extreme rays, primes
+def _maximal(masks):
+    """The inclusion-maximal masks, each once, in order of first occurrence.
+    By falling bit count, a mask is kept unless a kept mask holds it."""
+    masks = list(dict.fromkeys(masks))
+    kept = set()
+    for m in sorted(masks, key=int.bit_count, reverse=True):
+        if not any(m & o == m for o in kept):
+            kept.add(m)
+    return [m for m in masks if m in kept]
+
+
 def _canonical_vecs(n, vecs):
     """Canonical form of integer tuples: lengths checked before minimalizing,
     which could drop a wrong-length multiple; sign and range on those kept."""

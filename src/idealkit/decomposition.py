@@ -46,6 +46,7 @@ from .core import (
     MonomialPrime,
     _built,
     _layout,
+    _maximal,
     _pack,
     _same_context,
     _unpack,
@@ -286,9 +287,23 @@ def associated_primes(I: MonomialIdeal):
     return _associated(irreducible_decomposition(I))
 
 
+def _inclusion_maximal(primes, flip=0):
+    """The distinct primes whose variable masks XOR ``flip`` core._maximal
+    keeps, in their given order: the inclusion-maximal primes, or with
+    ``flip`` the mask of every variable, the inclusion-minimal ones."""
+    masks = [flip ^ sum(1 << i for i in p.variables) for p in primes]
+    kept = set(_maximal(masks))
+    return tuple(p for p, m in zip(primes, masks) if m in kept)
+
+
 def _inclusion_minimal(primes):
-    return tuple(p for p in primes
-                 if not any(q is not p and q.issubset(p) for q in primes))
+    # q lies in p iff the complement of p lies in that of q
+    return _inclusion_maximal(primes, (1 << primes[0].context.n) - 1 if primes else 0)
+
+
+def _has_embedded(primes):
+    """True iff one of the distinct ``primes`` lies in another."""
+    return len(_inclusion_minimal(primes)) < len(primes)
 
 
 def minimal_primes(I: MonomialIdeal):
@@ -297,8 +312,7 @@ def minimal_primes(I: MonomialIdeal):
 
 
 def has_embedded_primes(I: MonomialIdeal) -> bool:
-    primes = associated_primes(I)
-    return primes != _inclusion_minimal(primes)
+    return _has_embedded(associated_primes(I))
 
 
 def primary_without_embedded(dec: Decomposition, what: str) -> Decomposition:
@@ -306,8 +320,7 @@ def primary_without_embedded(dec: Decomposition, what: str) -> Decomposition:
     EmbeddedPrimeError (naming ``what``) if ``dec`` has an embedded prime:
     the one test of the hypothesis that the Simis cone, the symbolic Rees
     algebra results and the equality certificate rest on."""
-    primes = _associated(dec)
-    if primes != _inclusion_minimal(primes):
+    if _has_embedded(_associated(dec)):
         raise EmbeddedPrimeError(f"{what} needs an ideal without embedded primes")
     return _primary(dec)
 

@@ -463,27 +463,11 @@ def polarize(I: MonomialIdeal):
     map new name -> (old name, copy number).
     """
     I.require_proper_nonzero("polarization")
-    ctx = I.context
-    n = ctx.n
-    copies = [max((v[j] for v in I.exponents), default=0) for j in range(n)]
-    copies = [max(c, 1) for c in copies]
-    new_names = []
-    var_map = {}
-    slot = {}  # (orig index, copy) -> new index
-    for j in range(n):
-        for c in range(1, copies[j] + 1):
-            nm = f"{ctx.names[j]}_{c}"
-            slot[(j, c)] = len(new_names)
-            var_map[nm] = (ctx.names[j], c)
-            new_names.append(nm)
-    if len(set(new_names)) != len(new_names):
-        raise ValueError(f"polarized variable names collide: {new_names}")
-    new_ctx = PolyContext(tuple(new_names))
-    vecs = []
-    for v in I.exponents:
-        w = [0] * len(new_names)
-        for j, e in enumerate(v):
-            for c in range(1, e + 1):
-                w[slot[(j, c)]] = 1
-        vecs.append(tuple(w))
-    return MonomialIdeal.from_generators(new_ctx, vecs), var_map
+    names = I.context.names
+    # new variables in order: copy c of x_j for c = 1..max(1, top exponent of x_j)
+    slots = [(j, c) for j, col in enumerate(zip(*I.exponents))
+             for c in range(1, max(1, *col) + 1)]
+    new_names = tuple(f"{names[j]}_{c}" for j, c in slots)
+    var_map = {nm: (names[j], c) for nm, (j, c) in zip(new_names, slots)}
+    vecs = [tuple(int(v[j] >= c) for j, c in slots) for v in I.exponents]
+    return MonomialIdeal.from_generators(PolyContext(new_names), vecs), var_map

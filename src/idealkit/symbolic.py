@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from .core import MonomialIdeal, _power_chain
 from .decomposition import (
     _associated,
+    _inclusion_maximal,
     _inclusion_minimal,
     irreducible_decomposition,
 )
@@ -65,8 +66,7 @@ def symbolic_powers(I: MonomialIdeal, ks, variant=Variant.MIN_PRIMES,
     variant = Variant(variant)
     primes = _associated(irreducible_decomposition(I))
     if variant is Variant.ALL_ASS_PRIMES:
-        primes = [p for p in primes
-                  if not any(q is not p and p.issubset(q) for q in primes)]
+        primes = _inclusion_maximal(primes)
     else:
         primes = _inclusion_minimal(primes)
     yield from _power_chain(I, ks, hi, primes, max_generators)

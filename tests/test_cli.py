@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,9 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import idealkit
-from idealkit.cli import main
+from idealkit.cli import build_parser, main
+from idealkit.formats import exponents_to_text, parse_ideal_file
 
 FIXTURES = Path(__file__).parent / "fixtures"
+README = Path(__file__).parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -73,6 +76,10 @@ def test_ntf(capsys):
     assert code == 0
     assert "k=1: equal" in out and "k=2: NOT equal" in out
     assert "first failure at k=2" in out
+    # the Terai ideal's first three powers equal its symbolic powers
+    code, out, _ = run(capsys, "ntf", "--kmax", "3", FIXTURES / "terai.ideal")
+    assert code == 0
+    assert out.splitlines()[-1] == "ordinary and symbolic powers agree up to k=3"
 
 
 def test_duals(capsys):
@@ -184,6 +191,138 @@ def test_structured_output_and_env_default(capsys, monkeypatch):
     assert json.loads(out) == {"normal": False}
 
 
+def _structured_schemas():
+    """{subcommand: JSON template} from the README's structured-output table."""
+    section = README.read_text().split("**Structured output**")[1].split("\n## ")[0]
+    schemas = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split(" | ")]
+        if len(cells) == 2 and cells[1].startswith("`{"):
+            template = json.loads(cells[1].strip("`").replace("\\|", "|"))
+            for name in re.findall(r"`([a-z-]+)`", cells[0]):
+                schemas[name] = template
+    return schemas
+
+
+def _conforms(value, template):
+    """True iff ``value`` has the shape of a README template."""
+    if isinstance(template, dict):
+        if set(template) == {"*"}:
+            return isinstance(value, dict) and all(
+                _conforms(v, template["*"]) for v in value.values())
+        return (isinstance(value, dict) and list(value) == list(template)
+                and all(_conforms(value[k], t) for k, t in template.items()))
+    if isinstance(template, list):
+        return isinstance(value, list) and all(_conforms(v, template[0]) for v in value)
+    if template.endswith("|null"):
+        return value is None or _conforms(value, template[:-len("|null")])
+    if template.startswith("["):
+        return isinstance(value, list) and all(_conforms(v, template[1:-1]) for v in value)
+    return type(value) is {"int": int, "bool": bool, "str": str}[template]
+
+
+def _ideal_text(names, gens):
+    return "(" + ", ".join(exponents_to_text(names, v) for v in gens) + ")"
+
+
+def _text_of(command, doc, names):
+    """The text output that holds the content of the structured ``doc``;
+    ``names`` are the input ideal's variables."""
+    def items(xs):
+        return "{" + ", ".join(xs) + "}"
+
+    if command in ("decompose", "prt"):
+        lines = ["(" + ", ".join(nm if e == 1 else f"{nm}^{e}" for nm, e in c.items()) + ")"
+                 for c in doc["components"]]
+    elif command == "primary":
+        lines = [f"{_ideal_text(names, c['generators'])}  radical ({', '.join(c['radical'])})"
+                 for c in doc["components"]]
+    elif command == "assprimes":
+        lines = [f"({', '.join(p)})" for p in doc["associated_primes"]]
+    elif command == "symbolic":
+        lines = []
+        for row in doc["powers"]:
+            extra = row["extra"] and _ideal_text(names, row["extra"])
+            lines += [f"k={row['k']}",
+                      f"  ordinary: {_ideal_text(names, row['ordinary'])}",
+                      f"  symbolic: {_ideal_text(names, row['symbolic'])}",
+                      f"  extra:    {extra or 'none'}"]
+    elif command == "ntf":
+        lines = [f"k={k}: {'equal' if ok else 'NOT equal'}"
+                 for k, ok in enumerate(doc["equal"], 1)]
+        lines.append(f"first failure at k={doc['first_failure']}" if doc["first_failure"]
+                     else f"ordinary and symbolic powers agree up to k={doc['kmax']}")
+    elif command in ("dual", "stardual", "closure", "digraph-ideal"):
+        lines = [_ideal_text(doc["context"]["names"], doc["generators"])]
+    elif command in ("rees", "simis"):
+        lines = ["# rays", *(" ".join(map(str, v)) for v in doc["rays"]),
+                 "# inequalities", *(" ".join(map(str, v)) for v in doc["inequalities"])]
+    elif command == "hilbert":
+        lines = [" ".join(map(str, v)) for v in doc["elements"]]
+    elif command == "normal":
+        lines = [f"normal: {json.dumps(doc['normal'])}"]
+    elif command == "sreesgens":
+        lines = [f"{exponents_to_text(names, g['monomial'])} t^{g['t']}"
+                 for g in doc["generators"]]
+    elif command == "covers":
+        lines = [f"C={items(p['cover'])} L1={items(p['L1'])} L2={items(p['L2'])} "
+                 f"L3={items(p['L3'])}" for p in doc["strong_covers"]]
+    elif command == "classify":
+        lines = [f"status: {doc['status']}"]
+        if doc["rule"]:
+            lines.append(f"rule: {doc['rule']}")
+        if doc["matching"]:
+            lines.append("matching: " + ", ".join(items(p) for p in doc["matching"]))
+        lines.append(f"reason: {doc['reason']}")
+    elif command == "reduce":
+        lines = ["weights: " + " ".join(f"{v['id']}={v['weight']}" for v in doc["vertices"])]
+        lines += [f"{a} -> {b}" for a, b in doc["arcs"]]
+    elif command == "polarize":
+        ideal = doc["ideal"]
+        lines = [_ideal_text(ideal["context"]["names"], ideal["generators"])]
+        lines += [f"{nm} <- {m['variable']} (copy {m['copy']})" for nm, m in doc["map"].items()]
+    return "\n".join(lines) + "\n"
+
+
+_STRUCTURED_RUNS = [
+    ["decompose", "ex3_16.ideal"], ["primary", "ex2_12.ideal"],
+    ["assprimes", "ex2_12.ideal"], ["symbolic", "--k", "2", "ex2_10.ideal"],
+    ["symbolic", "--variant", "ass", "--k", "2", "ex2_12.ideal"],
+    ["ntf", "--kmax", "3", "ex2_10.ideal"], ["ntf", "--kmax", "3", "terai.ideal"],
+    ["dual", "dual_strict.ideal"], ["stardual", "dual_strict.ideal"],
+    ["rees", "ex3_16.ideal"], ["simis", "ex3_16.ideal"], ["hilbert", "wedge.cone"],
+    ["hilbert", "--rees", "ex3_16.ideal"], ["normal", "terai.ideal"],
+    ["closure", "fig1.ideal"], ["sreesgens", "terai.ideal"],
+    ["digraph-ideal", "fig1.digraph"], ["covers", "radical.digraph"],
+    ["prt", "radical.digraph"], ["classify", "radical.digraph"],
+    ["classify", "fig1.digraph"], ["reduce", "fig1.digraph"],
+    ["polarize", "ex3_16.ideal"],
+]
+
+
+@pytest.mark.parametrize("argv", _STRUCTURED_RUNS, ids=" ".join)
+def test_structured_output_follows_the_readme_and_the_text(capsys, monkeypatch, argv):
+    monkeypatch.delenv("IDEALKIT_FORMAT", raising=False)
+    *args, name = argv
+    path = FIXTURES / name
+    code, text, _ = run(capsys, *args, path)
+    assert code == 0
+    code, out, _ = run(capsys, "--format", "structured", *args, path)
+    assert code == 0
+    doc = json.loads(out)
+    assert _conforms(doc, _structured_schemas()[args[0]]), doc
+    names = parse_ideal_file(path).context.names if path.suffix == ".ideal" else None
+    assert _text_of(args[0], doc, names) == text
+
+
+def test_readme_and_runs_cover_every_subcommand():
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert sorted(_structured_schemas()) == sorted(commands)
+    assert {argv[0] for argv in _STRUCTURED_RUNS} == set(commands)
+
+
 def test_unknown_env_format_exits_1(capsys, monkeypatch):
     monkeypatch.setenv("IDEALKIT_FORMAT", "json")
     code, out, err = run(capsys, "decompose", FIXTURES / "ex3_16.ideal")
@@ -252,6 +391,14 @@ def test_usage_errors_exit_64(capsys, argv):
     out = capsys.readouterr()
     assert exc.value.code == 64 and out.out == ""
     assert out.err.startswith("usage: idealkit") and "error:" in out.err
+
+
+def test_non_integer_cap_exits_64(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["hilbert", "--max-lattice-points", "abc", str(FIXTURES / "wedge.cone")])
+    out = capsys.readouterr()
+    assert exc.value.code == 64 and out.out == ""
+    assert "argument --max-lattice-points: invalid int value: 'abc'" in out.err
 
 
 def test_help_exits_0(capsys):

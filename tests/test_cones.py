@@ -106,6 +106,25 @@ def test_contains_rejects_wrong_dimension():
     assert c.contains((1, 0, 2)) and not c.contains((1, -1, 0))
 
 
+def test_cone_constructor_and_membership_errors():
+    for kwargs, message in ((dict(dim=0, rays=()), "dimension must be >= 1"),
+                            (dict(dim=2), "needs rays or inequalities"),
+                            (dict(dim=2, rays=((1, 0, 0),)), "wrong dimension"),
+                            (dict(dim=2, inequalities=((1,),)), "wrong dimension")):
+        with pytest.raises(ValueError, match=message):
+            RationalCone(**kwargs)
+    with pytest.raises(ValueError, match="needs the H-representation"):
+        RationalCone(2, rays=((1, 0), (1, 2))).contains((1, 1))
+
+
+def test_hilbert_basis_of_the_zero_cone_is_empty():
+    # no rays, so the triangulation has no simplex and there is no candidate
+    box = ((1, 0), (-1, 0), (0, 1), (0, -1))
+    for cone in (RationalCone(3, rays=()), RationalCone(2, inequalities=box)):
+        hb = hilbert_basis(cone)
+        assert (hb.dim, hb.elements) == (cone.dim, ())
+
+
 def test_wedge_dual_description():
     c = dual_description(RationalCone(2, rays=((1, 0), (1, 2))))
     assert set(c.inequalities) == {(0, 1), (2, -1)}

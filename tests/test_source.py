@@ -265,3 +265,16 @@ def test_symbolic_imports_only_core_and_decomposition():
     tree = ast.parse((SRC / "symbolic.py").read_text())
     loaded = set().union(*map(_sibling_imports, ast.walk(tree)))
     assert loaded == {"core", "decomposition"}
+
+
+def test_inclusion_among_sets_goes_through_one_rule():
+    # facets, extreme rays and primes are int bit masks, and core._maximal
+    # is the one pick of the inclusion-maximal ones; no pairwise subset scan
+    defs, subset_calls = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defs += [path.name for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name == "_maximal"]
+        subset_calls += [f"{path.name}:{node.lineno}" for node in _calls(tree, "issubset")]
+    assert defs == ["core.py"]
+    assert subset_calls == []

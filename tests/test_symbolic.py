@@ -8,6 +8,7 @@ import pytest
 
 import idealkit.core
 import idealkit.decomposition
+import idealkit.symbolic
 from idealkit import (
     MAX_EXPONENT,
     EqualityCertificate,
@@ -185,6 +186,60 @@ def test_symbolic_powers_matches_saturation_oracle():
             assert [sym for _, _, sym in got] == want, (label, variant)
             assert list(symbolic_powers(I, {4, 2}, variant)) == [got[1], got[3]]
     assert 0 < embedded < len(cases)
+
+
+def _edge_ideal(n, edges):
+    return MonomialIdeal.from_generators(
+        PolyContext.default(n), [tuple(int(v in e) for v in range(n)) for e in edges])
+
+
+def test_prime_selection_matches_the_oracles(monkeypatch):
+    # minimal_primes against the brute-force covers of the supports, and the
+    # primes each variant of symbolic_powers localizes at against the
+    # pairwise inclusion definitions, in associated-prime order: on 240
+    # seeded random ideals, with and without embedded primes, and on edge
+    # ideals with 15-200 minimal primes (random graphs, and five disjoint
+    # triangles joined by a few random edges)
+    localized = []
+    monkeypatch.setattr(idealkit.symbolic, "_power_chain",
+                        lambda I, ks, hi, primes, cap: localized.append(primes) or iter(()))
+    rng = random.Random(2718)
+    cases = []
+    while len(cases) < 240:
+        I = random_ideal(rng, n=rng.choice((3, 4, 5)), max_exp=3,
+                         max_gens=rng.randint(2, 5))
+        if I.is_proper_nonzero():
+            cases.append((I, set(minimal_primes_reference(I))))
+    triangles = [(3 * t + a, 3 * t + b) for t in range(5)
+                 for a, b in ((0, 1), (0, 2), (1, 2))]
+    counts = []
+    while len(counts) < 12:
+        if len(counts) % 2:
+            n = rng.choice((12, 14, 16))
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            I = _edge_ideal(n, rng.sample(pairs, rng.randint(12, 16)))
+        else:
+            pairs = [(i, j) for i in range(15) for j in range(i + 1, 15)
+                     if (i, j) not in triangles]
+            I = _edge_ideal(15, triangles + rng.sample(pairs, rng.randint(2, 6)))
+        minimal = set(minimal_primes_reference(I))
+        if 15 <= len(minimal) <= 200:
+            counts.append(len(minimal))
+            cases.append((I, minimal))
+    assert max(counts) >= 150
+    embedded = 0
+    for I, minimal in cases:
+        primes = associated_primes(I)
+        embedded += has_embedded_primes(I)
+        maximal = [p for p in primes
+                   if not any(q != p and p.issubset(q) for q in primes)]
+        assert set(minimal_primes(I)) == minimal, I
+        assert list(minimal_primes(I)) == [p for p in primes if p in minimal], I
+        localized.clear()
+        for variant in Variant:
+            assert list(symbolic_powers(I, [1], variant)) == []
+        assert [list(ps) for ps in localized] == [list(minimal_primes(I)), maximal], I
+    assert 0 < embedded < 240
 
 
 def test_symbolic_powers_of_edge_ideals_with_many_primes():
