@@ -6,17 +6,23 @@ integral closure (the level-one candidates of the same triangulation of the
 Rees cone), symbolic Rees algebra generators and the cone-criterion
 certificate for I^k == I^(k) at every k.  Every computation is exact over
 the integers: primitive vectors, integer Hermite elimination, no floats.
+
+A Hilbert basis is found in three steps: the simplices of the pulling
+triangulation, the lattice points of each simplex's parallelepiped (the
+box walked along the rows of index L^-1 whose Hermite diagonal entry
+exceeds 1), and the Bruns-Ichim reduction, which packs each candidate's
+values on the inequalities into one word and keeps the
+divisibility-minimal words.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from math import prod
 
 from ._linalg import _echelon, dot, lower_solve, primitive, rank
-from .core import Monomial, MonomialIdeal, _built, _maximal, _minimal_vecs
+from .core import Monomial, MonomialIdeal, _built, _layout, _maximal, _minimal_words
 from .decomposition import irreducible_decomposition, primary_without_embedded
 from .errors import (
     EmbeddedPrimeError,
@@ -125,6 +131,10 @@ def _cone_generators(rows, d):
     in order; a ray's active set is the bit mask of the processed rows, by
     place in that order, that it is tight on.  A new ray's is its parents'
     common set plus row k, as both parents are >= 0 on every processed row.
+    The pivot rows come first, so every intermediate cone is pointed, and
+    two of its extreme rays are adjacent only if their common set has rank
+    d - 2; a pair sharing fewer than d - 2 rows is skipped before the scan
+    (the combinatorial test of Fukuda and Prodon, 1996).
     """
     rows = list(rows)
     H, V, piv = _echelon(rows, d)
@@ -151,8 +161,9 @@ def _cone_generators(rows, d):
         for ip in pos:
             for im in neg:
                 s = actives[ip] & actives[im]  # adjacent: no third set holds s
-                if any(s & act == s for t, act in enumerate(actives)
-                       if t != ip and t != im):
+                if s.bit_count() < d - 2 or any(
+                        s & act == s for t, act in enumerate(actives)
+                        if t != ip and t != im):
                     continue
                 new.append((primitive(tuple(
                     vals[ip] * x - vals[im] * y
@@ -306,8 +317,11 @@ def _parallelepiped_points(rays, budget):
     V^-1, is a basis of the lattice points of the rays' span.  So the points
     are c W with lambda = c L^-1 in [0, 1)^t, one per class of Z^t modulo
     the rows of L; the box 0 <= c_k < L_kk holds one of each, and the index
-    is det L.  lambda, scaled by the index, is one ``lower_solve`` reduced
-    modulo the index.
+    is det L.  lambda, scaled by the index, is c (index L^-1) modulo the
+    index.  Only the rows k with L_kk > 1 can have c_k != 0, and they
+    multiply to the index, so at most log2(index) rows are solved (none for
+    a unimodular simplex) and the box is walked by adding j times each row
+    modulo the index, last coordinate fastest.
     """
     t = len(rays)
     H, _, piv = _echelon(rays, len(rays[0]))
@@ -320,10 +334,15 @@ def _parallelepiped_points(rays, budget):
         raise ResourceCapError(
             f"parallelepiped holds {index} lattice points, over the remaining "
             f"budget of {budget}; raise max_lattice_points to proceed")
+    lams = [[0] * t]
+    for k, n in enumerate(diag):
+        if n > 1:
+            row = lower_solve(L, [int(i == k) for i in range(t)], index)
+            lams = [[(x + j * y) % index for x, y in zip(lam, row)]
+                    for lam in lams for j in range(n)]
     cols = list(zip(*rays))
     points = []
-    for c in itertools.product(*(range(x) for x in diag)):
-        lam = [x % index for x in lower_solve(L, c, index)]
+    for lam in lams:
         z = []
         for col in cols:
             q, r = divmod(dot(col, lam), index)
@@ -349,9 +368,31 @@ def _reduce_generators(cands, ineqs):
     value vector: the basis is the candidates whose value vectors are
     divisibility-minimal.  hv is injective because the cone is pointed
     (Bruns-Ichim reduction).
+
+    Each value vector is packed straight into one word (``core._layout``,
+    lower bound 0): with C_i = sum_j h_j[i] 2^(w (m-1-j)) over the m
+    inequalities h_j, built by signed shifts since their entries can be
+    negative, the word of v is sum_i v_i C_i.  The field width covers max_h sum_i |h_i| max|v_i|, so a
+    negative value sets the sign or a guard bit: a word below 0 or with a
+    guard bit set is a candidate outside the cone.
     """
-    by_values = {tuple(dot(h, v) for h in ineqs): v for v in cands}
-    return [by_values[w] for w in _minimal_vecs(by_values)]
+    cands = list(cands)
+    tops = [max(map(abs, col)) for col in zip(*cands)]
+    span = max((dot(map(abs, h), tops) for h in ineqs), default=0)
+    w, G = _layout(ineqs, span)
+    coeffs = []
+    for col in zip(*ineqs):
+        c = 0
+        for x in col:
+            c = (c << w) + x
+        coeffs.append(c)
+    by_word = {}
+    for v in cands:
+        p = dot(v, coeffs)
+        if p < 0 or p & G:
+            raise ArithmeticError(f"Hilbert basis candidate {v} lies outside the cone")
+        by_word[p] = v
+    return [by_word[p] for p in _minimal_words(by_word, G)]
 
 
 def _candidates(cone, max_lattice_points):

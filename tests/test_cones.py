@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import idealkit
+import idealkit.cones as cones_module
 from idealkit import (
     EmbeddedPrimeError,
     EqualityCertificate,
@@ -37,7 +38,12 @@ from idealkit import (
     symbolic_vs_ordinary_certificate,
 )
 from idealkit._linalg import dot
-from idealkit.cones import _parallelepiped_points, _pulling_triangulation
+from idealkit.cones import (
+    _candidates,
+    _parallelepiped_points,
+    _pulling_triangulation,
+    _reduce_generators,
+)
 from idealkit.formats import parse_ideal_file
 
 from oracles import (
@@ -47,6 +53,7 @@ from oracles import (
     frac_solve,
     independent_rows_reference,
     integral_closure_by_box,
+    minimalize_reference,
     minors_gcd,
     pulling_triangulation_by_rank,
     random_ideal,
@@ -123,6 +130,10 @@ def test_hilbert_basis_of_the_zero_cone_is_empty():
     for cone in (RationalCone(3, rays=()), RationalCone(2, inequalities=box)):
         hb = hilbert_basis(cone)
         assert (hb.dim, hb.elements) == (cone.dim, ())
+        # the reduction packs no word, over the zero cone's +-e_i
+        ineqs = dual_description(cone).inequalities
+        assert len(ineqs) == 2 * cone.dim
+        assert _reduce_generators(set(), ineqs) == []
 
 
 def test_wedge_dual_description():
@@ -391,6 +402,47 @@ def test_hilbert_basis_minimality_and_generation():
                 assert semigroup_member_bounded(v, elems, ineqs) or not any(v)
 
 
+def _reduce_by_value_vectors(cands, ineqs):
+    """The reduction by its definition: the candidates whose tuple value
+    vectors (<h,v> for h) are divisibility-minimal, in value-vector order."""
+    by_values = {tuple(dot(h, v) for h in ineqs): v for v in cands}
+    return [by_values[w] for w in minimalize_reference(by_values)]
+
+
+def test_reduce_generators_matches_value_vector_definition():
+    # pointed cones with mixed-sign rays, some of them not full-dimensional;
+    # the packed value words must pick the same candidates in the same order
+    rng = random.Random(2810)
+    checked, negative, lower = 0, 0, 0
+    while checked < 150:
+        cone = dual_description(random_mixed_cone(rng, max_dim=4, max_entry=3))
+        if not cone.rays or not is_pointed(cone):
+            continue
+        checked += 1
+        negative += any(x < 0 for r in cone.rays for x in r)
+        lower += rank_reference(list(cone.rays)) < cone.dim
+        cands = _candidates(cone, 10**5)
+        # extra lattice points of the cone are candidates too
+        cands |= {tuple(a + b for a, b in zip(u, v))
+                  for u in cone.rays for v in rng.sample(sorted(cands), min(3, len(cands)))}
+        ineqs = cone.inequalities
+        assert _reduce_generators(cands, ineqs) == _reduce_by_value_vectors(cands, ineqs)
+    assert negative >= 50 and lower >= 10
+
+
+def test_reduce_generators_rejects_a_candidate_outside_the_cone():
+    # a negative value sets the sign or a guard bit of the packed word,
+    # whichever inequality it falls on and however large the others are
+    cone = dual_description(RationalCone(3, rays=((1, 0, 0), (1, 2, 0), (1, 1, 3))))
+    inside = sorted(_candidates(cone, 100))
+    for bad in [(0, -1, 0), (-1, 0, 0), (5, 11, 0), (1, 0, -1), (40, -1, 100)]:
+        assert not cone.contains(bad)
+        with pytest.raises(ArithmeticError, match="outside the cone"):
+            _reduce_generators(inside + [bad], cone.inequalities)
+    with pytest.raises(ArithmeticError, match="outside the cone"):
+        _reduce_generators([(1, 0), (-1, 0)], ((0, 1), (1, 0)))
+
+
 def _parallelepiped_brute_force(rays):
     """Integer points of the bounding box whose coordinates in the ray basis
     lie in [0, 1)."""
@@ -465,6 +517,59 @@ def test_parallelepiped_points_at_larger_sizes():
                 f"budget of {index - 1}; raise max_lattice_points to proceed$")):
             _parallelepiped_points(rays, index - 1)
     assert big >= 5 and full >= 3
+
+
+def _counting_solves(monkeypatch):
+    calls = []
+    real = cones_module.lower_solve
+
+    def spy(L, c, s):
+        calls.append(tuple(c))
+        return real(L, c, s)
+
+    monkeypatch.setattr(cones_module, "lower_solve", spy)
+    return calls
+
+
+@pytest.mark.parametrize("rays, index, solves", [
+    # Hermite diagonal 2, 3, 4: every row of index L^-1 is nontrivial
+    (((2, 0, 0), (0, 3, 0), (0, 0, 4)), 24, 3),
+    (((2, 0, 0), (1, 3, 0), (1, 1, 4)), 24, 3),
+    # diagonal 1, 2, 4 and, in Z^4, 1, 3, 4: two rows of three
+    (((2, 1, 5), (0, 3, 1), (1, 1, 4)), 8, 2),
+    (((2, 4, 0, 1), (0, 3, 6, 0), (0, 0, 4, 4)), 12, 2),
+    # unimodular: the one point is 0 and no row is solved
+    (((1, 0, 0), (1, 1, 0), (2, 3, 1)), 1, 0),
+    (((1, 2, 0, 5),), 1, 0),
+], ids=["diagonal", "sheared", "two-rows", "two-rows-in-z4", "unimodular",
+        "one-ray"])
+def test_parallelepiped_points_solve_only_the_nontrivial_rows(
+        monkeypatch, rays, index, solves):
+    calls = _counting_solves(monkeypatch)
+    pts, got = _parallelepiped_points(list(rays), 10**6)
+    assert got == index and len(pts) == len(set(pts)) == index
+    assert set(pts) == _parallelepiped_brute_force(list(rays))
+    assert pts[0] == (0,) * len(rays[0])
+    # one solve per unit row c = e_k with L_kk > 1
+    assert len(calls) == solves
+    assert all(sorted(c) == [0] * (len(c) - 1) + [1] for c in calls)
+
+
+def test_parallelepiped_points_solve_at_most_log2_index_rows(monkeypatch):
+    calls = _counting_solves(monkeypatch)
+    rng = random.Random(2811)
+    seen = set()
+    for _ in range(200):
+        t = rng.randint(1, 4)
+        rays = [tuple(rng.randint(-3, 3) for _ in range(4)) for _ in range(t)]
+        if rank_reference(rays) < t:
+            continue
+        calls.clear()
+        pts, index = _parallelepiped_points(rays, 10**6)
+        assert len(pts) == len(set(pts)) == index
+        assert 2 ** len(calls) <= index
+        seen.add(len(calls))
+    assert {0, 1, 2} <= seen
 
 
 def test_pulling_triangulation_covers_the_cone():

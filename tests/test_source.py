@@ -151,22 +151,27 @@ def _calls(tree, name):
 
 def test_canonical_form_is_made_in_core_alone():
     # from_generators is the one place that checks entries and minimalizes;
-    # only core builds ideals without the constructor's re-check
-    builder, direct, callers = [], [], set()
+    # only core builds ideals without the constructor's re-check.  Outside
+    # core, only the Hilbert-basis reduction minimalizes, on value words it
+    # packs itself
+    builder, direct = [], []
+    callers = {"_minimal_vecs": set(), "_minimal_words": set()}
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         if path.name != "core.py":
             builder += [f"{path.name}:{node.lineno}" for node in _calls(tree, "_built")
                         if getattr(node.args[0], "id", None) == "MonomialIdeal"]
             for fn in ast.walk(tree):
-                if isinstance(fn, ast.FunctionDef) and any(_calls(fn, "_minimal_vecs")):
-                    callers.add(f"{path.stem}.{fn.name}")
+                for name, found in callers.items():
+                    if isinstance(fn, ast.FunctionDef) and any(_calls(fn, name)):
+                        found.add(f"{path.stem}.{fn.name}")
         direct += [f"{path.name}:{node.lineno}"
                    for node in _calls(tree, "MonomialIdeal")
                    for arg in node.args if any(_calls(arg, "_minimal_vecs"))]
     assert builder == []
     assert direct == []
-    assert callers == {"cones._reduce_generators"}
+    assert callers == {"_minimal_vecs": set(),
+                       "_minimal_words": {"cones._reduce_generators"}}
 
 
 def test_constructors_are_bypassed_in_one_place():
