@@ -2,14 +2,15 @@
 
 Matrices are row-major lists of integer rows.  All elimination happens in
 one routine, ``_echelon``: integer column operations bring A to its column
-Hermite form A V = H with V unimodular.  The rank is the pivot count, the
-greedy independent rows are the pivot rows, and the columns of V past the
-pivots are a saturated basis of the integer kernel.  The pivot rows of H
+Hermite form A V = H with V unimodular.  The rank is the pivot count and
+the greedy independent rows are the pivot rows.  V is not built: below A's
+rows, the unit rows become I V = V, and when A's rank r is short the
+pivots run on into them, so V's columns r.. come out as the Hermite normal
+form of the integer kernel (Cohen, GTM 138, 2.4).  The pivot rows of H
 form a lower-triangular L with a positive diagonal; ``lower_solve`` solves
 x L = s c exactly, which is all the cone kernel needs of L^-1.  Sizes stay
 tiny (the ambient dimension is the variable count plus one), so clarity
-wins over asymptotics; the size reduction keeps the entries of H below
-their pivots.
+wins over asymptotics.
 """
 
 from __future__ import annotations
@@ -46,23 +47,23 @@ def _xgcd(a, b):
 
 
 def _echelon(A, ncols):
-    """Column Hermite form (H, V, pivots) of an integer matrix: A V = H.
+    """Column Hermite form (H, pivots) of an integer matrix: A V = H.
 
-    V is unimodular.  Rows are taken in order; row i gets the next pivot
-    column r exactly when it is independent of the rows before it, and
-    ``pivots`` lists those rows.  An extended-gcd step per pair of columns
-    gathers row i's entries right of the pivots into column r; the pivot is
-    made positive and the entries to its left are reduced modulo it.  Rows
-    above i are zero from column r on, so only rows i.. of H take part.
+    V is unimodular and not built: stack A on the ncols unit rows to read
+    it off H past A's rows.  Rows are taken in order; row i gets the next
+    pivot column r exactly when it is independent of the rows before it,
+    and ``pivots`` lists those rows.  An extended-gcd step per pair of
+    columns gathers row i's entries right of the pivots into column r; the
+    pivot is made positive and the entries to its left are reduced modulo
+    it.  Rows above i are zero from column r on, so only rows i.. take part.
     """
     H = [list(map(int, row)) for row in A]
-    V = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
     pivots = []
     r = 0
     for i, row in enumerate(H):
         if r == ncols:
             break
-        rows = H[i:] + V
+        rows = H[i:]
         for j in range(r + 1, ncols):
             if row[j] == 0:
                 continue
@@ -84,12 +85,12 @@ def _echelon(A, ncols):
                     w[c] -= q * w[r]
         pivots.append(i)
         r += 1
-    return H, V, pivots
+    return H, pivots
 
 
 def rank(rows):
     """Rank of an integer matrix: its number of pivots."""
-    return len(_echelon(rows, len(rows[0]) if rows else 0)[2])
+    return len(_echelon(rows, len(rows[0]) if rows else 0)[1])
 
 
 def lower_solve(L, c, s):

@@ -122,32 +122,34 @@ def _cone_generators(rows, d):
     Returns the extreme rays of the pointed part, then +-each vector of a
     lattice basis of the lineality space; together they generate the cone.
     The rows A are distinct, nonzero and primitive (a cone's canonical
-    vectors, or this function's output).  With A V = H, the lineality basis
-    is the columns of V past the pivots (all of V = I when A is empty).
-    Once +-it is appended to A, the d pivot rows S of A start a double
-    description: S V = L, the pivot rows of H, is lower-triangular, so
-    S (V det L^-1) = det I and each column of V det L^-1 lies on every
-    starting facet but one, on its positive side.  The other rows follow
-    in order; a ray's active set is the bit mask of the processed rows, by
-    place in that order, that it is tight on.  A new ray's is its parents'
-    common set plus row k, as both parents are >= 0 on every processed row.
+    vectors, or this function's output).  One ``_echelon`` of A over the d
+    unit rows gives A V = H and V; at rank r, V's columns r.. are the
+    lineality basis, the kernel's Hermite normal form.  The d pivot rows S,
+    A's and then unit rows e_p, start a double description: S V = L, the
+    pivot rows of H, is lower-triangular, so S (V det L^-1) = det I and
+    each column of V det L^-1 lies on every starting facet but one, on its
+    positive side.  The other rows of A follow in order, then each -e_p, so
+    the pointed part is the slice {x : x_p = 0}, a complement of the
+    lineality space.  A ray's active set is the bit mask of the processed
+    rows, by place in that order, that it is tight on.  A new ray's is its
+    parents' common set plus row k, as both are >= 0 on every processed row.
     The pivot rows come first, so every intermediate cone is pointed, and
     two of its extreme rays are adjacent only if their common set has rank
     d - 2; a pair sharing fewer than d - 2 rows is skipped before the scan
     (the combinatorial test of Fukuda and Prodon, 1996).
     """
-    rows = list(rows)
-    H, V, piv = _echelon(rows, d)
-    lin = [tuple(row[j] for row in V) for j in range(len(piv), d)]
-    if lin:
-        lin += [tuple(-x for x in l) for l in lin]
-        rows += lin
-        H, V, piv = _echelon(rows, d)
+    A = list(rows)
+    rows = A + [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    H, piv = _echelon(rows, d)
+    V = H[len(A):]
+    cut = [tuple(-x for x in rows[i]) for i in piv if i >= len(A)]
+    lin = [tuple(row[j] for row in V) for j in range(d - len(cut), d)]
+    lin += [tuple(-x for x in l) for l in lin]
     L = [H[i] for i in piv]
     det = prod(r[k] for k, r in enumerate(L))
     rays = [primitive(col) for col in zip(*(lower_solve(L, row, det) for row in V))]
     actives = [((1 << d) - 1) ^ (1 << j) for j in range(d)]
-    rows = [rows[i] for i in piv] + [r for i, r in enumerate(rows) if i not in piv]
+    rows = [rows[i] for i in piv] + [r for i, r in enumerate(A) if i not in piv] + cut
 
     for k in range(d, len(rows)):
         vals = [dot(rows[k], r) for r in rays]
@@ -324,7 +326,7 @@ def _parallelepiped_points(rays, budget):
     modulo the index, last coordinate fastest.
     """
     t = len(rays)
-    H, _, piv = _echelon(rays, len(rays[0]))
+    H, piv = _echelon(rays, len(rays[0]))
     if len(piv) < t:
         raise ValueError("parallelepiped rays are linearly dependent")
     L = [row[:t] for row in H]

@@ -209,6 +209,36 @@ def test_dual_description_prunes_given_inequalities_to_facets():
     assert n_full_pointed > 400 and n_pruned > 500
 
 
+def _subspace_pairs(seed, sums, count=400):
+    """Seeded pairs of vector lists in a proper subspace of Z^d, 3 <= d <= 6:
+    some vectors, then the same vectors plus ``sums`` sums of two of them."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        d = rng.randint(3, 6)
+        basis = [[rng.randint(-2, 2) for _ in range(d)]
+                 for _ in range(rng.randint(1, d - 1))]
+        vecs = []
+        for _ in range(rng.randint(2, d + 3)):
+            c = [rng.randint(-2, 3) for _ in basis]
+            vecs.append(tuple(dot(c, col) for col in zip(*basis)))
+        yield d, vecs, vecs + [tuple(map(sum, zip(*rng.sample(vecs, 2))))
+                               for _ in range(sums)]
+
+
+def test_equal_cones_convert_to_equal_values():
+    # a lower-dimensional cone given by rays, or a cone with a line given by
+    # inequalities: the lineality basis is the kernel's Hermite normal form
+    # and the pointed part is cut from one canonical complement of it, so
+    # the other representation does not depend on how the cone was given
+    for d, rays, more in _subspace_pairs(11, sums=3):
+        assert rank_reference(rays) < d
+        assert (dual_description(RationalCone(d, rays=rays)).inequalities
+                == dual_description(RationalCone(d, rays=more)).inequalities), rays
+    for d, ineqs, more in _subspace_pairs(12, sums=2):
+        assert (dual_description(RationalCone(d, inequalities=ineqs)).rays
+                == dual_description(RationalCone(d, inequalities=more)).rays), ineqs
+
+
 def test_dual_description_membership_matches_caratheodory_oracle():
     # mixed-sign pointed cones: the computed H-representation must decide
     # membership exactly like a direct nonnegative-combination search

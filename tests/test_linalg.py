@@ -69,14 +69,26 @@ def test_empty_matrix():
     assert rank([]) == 0
 
 
+def _stacked(A, n):
+    """_echelon of A over the n unit rows: A V is H on A's rows, and V is
+    H past them."""
+    return _echelon(A + [[int(i == j) for j in range(n)] for i in range(n)], n)
+
+
 def test_echelon_is_a_reduced_column_hermite_form():
     for A in _matrices(10):
         n = len(A[0])
-        H, V, pivots = _echelon(A, n)
-        assert [[dot(row, col) for col in zip(*V)] for row in A] == H, A
+        H, pivots = _stacked(A, n)
+        m = len(A)
+        V = H[m:]
+        assert [[dot(row, col) for col in zip(*V)] for row in A] == H[:m], A
         assert abs(det_reference(V)) == 1, A
-        r = len(pivots)
+        r = sum(i < m for i in pivots)
         assert pivots == sorted(pivots) and r == rank_reference(A), A
+        # with the unit rows the stack has full column rank; alone, A gets
+        # the same rows of H and the same pivots, so no caller pays for V
+        assert len(pivots) == n, A
+        assert _echelon(A, n) == (H[:m], pivots[:r]), A
         for i, row in enumerate(H):
             # each row is zero from the column after its last pivot on
             k = sum(p <= i for p in pivots)
@@ -93,7 +105,7 @@ def test_rank_and_independent_rows_match_rational_reference():
         assert rank(A) == r, A
         # the pivot rows are the greedy independent rows: the double
         # description starts from the first d of them
-        pivots = _echelon(A, len(A[0]))[2]
+        pivots = _echelon(A, len(A[0]))[1]
         assert pivots == independent_rows_reference(A), A
         for need in range(1, r + 2):
             assert (pivots[:need]
@@ -101,18 +113,47 @@ def test_rank_and_independent_rows_match_rational_reference():
     assert deficient > 40
 
 
+def _kernel(A, n):
+    """The columns of V past A's pivots, with the unit rows they pivot on."""
+    H, pivots = _stacked(A, n)
+    m = len(A)
+    r = sum(i < m for i in pivots)
+    return ([tuple(row[j] for row in H[m:]) for j in range(r, n)],
+            [i - m for i in pivots[r:]])
+
+
 def test_kernel_lattice_basis_is_saturated_kernel():
     for A in _matrices(12):
         n = len(A[0])
-        _, V, pivots = _echelon(A, n)
-        # the columns of V past the pivots: the lineality basis of a cone
-        basis = [tuple(row[j] for row in V) for j in range(len(pivots), n)]
+        # the columns of V past A's pivots: the lineality basis of a cone
+        basis, units = _kernel(A, n)
         assert len(basis) == n - rank_reference(A), A
         assert all(len(v) == n and not any(dot(row, v) for row in A)
                    for v in basis), A
         if basis:
             # saturated: Z^n / span(basis) is torsion-free
             assert minors_gcd(basis, len(basis)) == 1, A
+        # column Hermite normal form: kernel vector k is zero above its
+        # unit pivot p, positive at p, and the kernel vectors before it are
+        # reduced modulo it there
+        for k, (v, p) in enumerate(zip(basis, units)):
+            assert not any(v[:p]) and v[p] > 0, A
+            assert all(0 <= w[p] < v[p] for w in basis[:k]), A
+
+
+def test_kernel_entries_stay_within_the_hadamard_bound():
+    # the Hermite normal form of the kernel is reduced: its entries stay
+    # within the product of A's row norms, where the transform of the
+    # elimination alone reaches 1,735 bits on these matrices
+    rng = random.Random(7)
+    for _ in range(50):
+        A = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(8)] for _ in range(6)]
+        hadamard2 = 1
+        for row in A:
+            hadamard2 *= dot(row, row)
+        basis, _ = _kernel(A, 8)
+        assert len(basis) == 2, A
+        assert all(x * x <= hadamard2 for v in basis for x in v), A
 
 
 def test_lower_solve_matches_rational_solve():

@@ -262,6 +262,12 @@ def test_cone_kernel_eliminates_through_one_hermite_form():
     callers = {fn.name for fn in ast.walk(tree)
                if isinstance(fn, ast.FunctionDef) and any(_calls(fn, "_echelon"))}
     assert callers == {"_cone_generators", "_parallelepiped_points"}
+    # one elimination per conversion: a single call, in a plain assignment
+    # of the function body, so neither a loop nor a branch repeats it
+    gens = next(fn for fn in tree.body
+                if isinstance(fn, ast.FunctionDef) and fn.name == "_cone_generators")
+    assert len(list(_calls(gens, "_echelon"))) == 1
+    assert [type(stmt) for stmt in gens.body if any(_calls(stmt, "_echelon"))] == [ast.Assign]
 
 
 def test_symbolic_imports_only_core_and_decomposition():
